@@ -186,8 +186,8 @@ void BM_SingleRuleMatchSnapshot(benchmark::State& state) {
 BENCHMARK(BM_SingleRuleMatchSnapshot)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-// What a per-pass snapshot costs to build — the price DetectAll pays once
-// before fanning out.
+// What a snapshot costs to build — the O(V+E) price the serving layer pays
+// on a rebuild (offline passes read the live graph and build none).
 void BM_SnapshotBuild(benchmark::State& state) {
   Workload w(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -308,16 +308,15 @@ BENCHMARK(BM_SeedCandidatesSharded)
     ->Args({4000, 4})->Args({4000, 8})
     ->Unit(benchmark::kMicrosecond);
 
-// Full detection with the caller-provided snapshot reused across calls —
-// what eval loops and thread sweeps over an unchanged graph now do instead
-// of re-snapshotting per pass.
+// Full detection over a snapshot built once and passed as the view — the
+// snapshot-side twin of BM_FullDetection (identical results; only the
+// storage layout differs).
 void BM_FullDetectionReusedSnapshot(benchmark::State& state) {
   Workload w(static_cast<size_t>(state.range(0)));
   GraphSnapshot snap(w.graph);
   for (auto _ : state) {
     ViolationStore store;
-    benchmark::DoNotOptimize(
-        DetectAll(w.graph, w.rules, &store, nullptr, 1, &snap));
+    benchmark::DoNotOptimize(DetectAll(snap, w.rules, &store));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -427,9 +426,7 @@ BENCHMARK(BM_PlannedVsInterpreted)->Arg(0)->Arg(1)
 // the other benches emit (google-benchmark's own output follows).
 int main(int argc, char** argv) {
   grepair::bench::PrintBenchHeader(
-      "M9: matching micro-benchmarks (graph vs snapshot)",
-      std::string("\"snapshot_read_path\":") +
-          (grepair::kSnapshotDetectReads ? "true" : "false"));
+      "M9: matching micro-benchmarks (graph vs snapshot)");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -7,7 +7,6 @@
 // PrintBenchHeader for the run-level header).
 #include "bench_common.h"
 
-#include "graph/snapshot.h"
 #include "util/timer.h"
 
 using namespace grepair;
@@ -15,17 +14,15 @@ using namespace grepair::bench;
 
 namespace {
 
-// Median-of-3 detection wall-clock, fresh store each run. The graph never
-// changes across the thread sweep, so all runs share one caller-owned
-// snapshot (the DetectAll reuse seam) instead of re-snapshotting per call —
-// the sweep then measures matching, not snapshot construction.
+// Median-of-3 detection wall-clock, fresh store each run; every worker
+// reads the live graph, exactly as a repair run's full passes do.
 double DetectMs(const Graph& g, const RuleSet& rules, size_t threads,
-                const GraphSnapshot& snap, size_t* violations) {
+                size_t* violations) {
   double samples[3];
   for (double& s : samples) {
     ViolationStore store;
     Timer t;
-    *violations = DetectAll(g, rules, &store, nullptr, threads, &snap);
+    *violations = DetectAll(g, rules, &store, nullptr, threads);
     s = t.ElapsedMs();
   }
   std::sort(std::begin(samples), std::end(samples));
@@ -35,9 +32,7 @@ double DetectMs(const Graph& g, const RuleSet& rules, size_t threads,
 }  // namespace
 
 int main() {
-  PrintBenchHeader("P1: detection throughput vs threads (KG, 5% errors)",
-                   std::string("\"snapshot_read_path\":") +
-                       (kSnapshotDetectReads ? "true" : "false"));
+  PrintBenchHeader("P1: detection throughput vs threads (KG, 5% errors)");
   TableWriter t("P1: detection wall-clock vs threads (KG, 5% errors)",
                 {"persons", "|V|", "|E|", "violations", "t1_ms", "t2_ms",
                  "t4_ms", "t8_ms", "speedup_4t"});
@@ -54,18 +49,14 @@ int main() {
     iopt.rate = 0.05;
     DatasetBundle bundle = MustKgBundle(gopt, iopt);
 
-    GraphSnapshot snap(bundle.graph);  // one build for the whole sweep
     size_t violations = 0;
     double ms[4] = {0, 0, 0, 0};
     for (size_t i = 0; i < 4; ++i) {
-      ms[i] = DetectMs(bundle.graph, bundle.rules, kThreads[i], snap,
-                       &violations);
+      ms[i] = DetectMs(bundle.graph, bundle.rules, kThreads[i], &violations);
       std::printf("{\"persons\":%zu,\"nodes\":%zu,\"edges\":%zu,"
-                  "\"threads\":%zu,\"violations\":%zu,\"detect_ms\":%.2f,"
-                  "\"snapshot_path\":%s,\"snapshot_reused\":true}\n",
+                  "\"threads\":%zu,\"violations\":%zu,\"detect_ms\":%.2f}\n",
                   persons, bundle.graph.NumNodes(), bundle.graph.NumEdges(),
-                  kThreads[i], violations, ms[i],
-                  kSnapshotDetectReads ? "true" : "false");
+                  kThreads[i], violations, ms[i]);
     }
 
     t.AddRow({TableWriter::Int(int64_t(persons)),

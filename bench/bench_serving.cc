@@ -388,9 +388,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
 int main() {
   const bool smoke = SmokeMode();
   PrintBenchHeader("S1: serving throughput vs batch size x threads (KG)",
-                   std::string("\"snapshot_read_path\":") +
-                       (kSnapshotDetectReads ? "true" : "false") +
-                       ",\"incremental_snapshots\":true,\"smoke\":" +
+                   std::string("\"incremental_snapshots\":true,\"smoke\":") +
                        (smoke ? "true" : "false"));
   const size_t kPersons = smoke ? 400 : 2000;
   TableWriter t("S1: commit latency / edit throughput (KG)",

@@ -146,15 +146,9 @@ class GraphView {
   virtual size_t CountNodesWithLabel(SymbolId label) const = 0;
   virtual size_t CountEdgesWithLabel(SymbolId label) const = 0;
 
-  /// Non-null when this view IS an immutable GraphSnapshot, so read paths
-  /// that snapshot their input can skip re-snapshotting one.
+  /// Non-null when this view IS an immutable GraphSnapshot, so the matcher
+  /// can take the snapshot's direct-column fast paths.
   virtual const GraphSnapshot* AsSnapshot() const { return nullptr; }
-
-  /// True for any immutable read-optimized snapshot implementation —
-  /// monolithic GraphSnapshot or sharded ShardedSnapshot — i.e. a view a
-  /// parallel pass may read directly without building its own snapshot
-  /// (SnapshotForPass gates on this).
-  virtual bool IsSnapshotView() const { return AsSnapshot() != nullptr; }
 
   /// Storage shards backing this view (1 = unsharded). When > 1, the view
   /// hash-partitions its columns by StorageShardOfNode (edges follow their

@@ -134,7 +134,6 @@ class ShardedSnapshot final : public GraphView {
   size_t CountNodesWithLabel(SymbolId label) const override;
   size_t CountEdgesWithLabel(SymbolId label) const override;
 
-  bool IsSnapshotView() const override { return true; }
   size_t NumStorageShards() const override { return shards_.size(); }
 
  private:

@@ -30,17 +30,20 @@
 // pass fans out; during a pass the snapshot is frozen and shared read-only
 // across all workers (no synchronization needed).
 //
-// One snapshot per detection pass is built (or reused, see the DetectAll
-// `snapshot` parameter) by DetectAll / DetectInto and
-// RepairService::Commit when the pool fans out. Equivalence — including
-// patched snapshots against fresh builds and the live graph — is asserted
-// by tests/test_snapshot.cc and tests/test_snapshot_patch.cc. See
-// DESIGN.md "Storage model".
+// Only the serving layer builds snapshots: RepairService keeps one cached
+// (and patched) for its seed passes and publishes others to lock-free
+// readers, because its writer mutates the live graph while readers read.
+// Offline passes (DetectAll, the repair engine, mining) fan out over the
+// frozen live Graph instead — a build per pass costs more than the
+// snapshot's faster reads save. A caller already holding a snapshot passes
+// it to them as the view. Equivalence — including patched snapshots
+// against fresh builds and the live graph — is asserted by
+// tests/test_snapshot.cc and tests/test_snapshot_patch.cc. See DESIGN.md
+// "Storage model".
 #ifndef GREPAIR_GRAPH_SNAPSHOT_H_
 #define GREPAIR_GRAPH_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -300,17 +303,6 @@ class GraphSnapshot final : public GraphView {
   /// Ascending alive edge ids NOT covered by the base alive_edges_ list.
   std::vector<EdgeId> alive_added_;
 };
-
-/// The one-snapshot-per-pass idiom of the parallel read paths: returns `g`
-/// itself when it already is a snapshot view (monolithic OR sharded),
-/// otherwise builds one into `*storage` (which owns it for the duration of
-/// the pass) and returns that. Keeps the build-or-reuse gate in one place.
-inline const GraphView& SnapshotForPass(
-    const GraphView& g, std::unique_ptr<GraphSnapshot>* storage) {
-  if (g.IsSnapshotView()) return g;
-  *storage = std::make_unique<GraphSnapshot>(g);
-  return **storage;
-}
 
 }  // namespace grepair
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "graph/snapshot.h"
 #include "match/incremental.h"
 #include "match/plan.h"
 #include "parallel/parallel_detector.h"
@@ -20,42 +19,30 @@ namespace grepair {
 namespace {
 
 // Adds every match of every rule to the store, costed for fix selection.
-// A non-null pool with >1 workers fans the matching out (bit-identical
-// results; see ParallelDetector); costing and store insertion stay on the
-// calling thread either way.
+// A non-null pool with >1 workers fans the matching out over `g` itself —
+// frozen for the pass, its const reads are thread-safe (DESIGN.md
+// "Threading model") — with bit-identical results (see ParallelDetector);
+// costing and store insertion stay on the calling thread either way.
 size_t DetectInto(const GraphView& g, const RuleSet& rules,
                   ViolationStore* store,
                   const CostModel& model, SymbolId conf_attr,
-                  size_t* expansions, ThreadPool* pool = nullptr,
-                  const GraphView* snapshot = nullptr) {
-  // A caller-owned snapshot view of g's current state (monolithic or
-  // sharded) replaces g on every read path below (bit-identical by
-  // contract) — repeated passes over an unchanged graph then skip the
-  // per-pass snapshot build entirely.
-  const GraphView& src = snapshot != nullptr ? *snapshot : g;
+                  size_t* expansions, ThreadPool* pool = nullptr) {
   if (pool != nullptr && pool->NumThreads() > 1) {
-    // One immutable read-optimized snapshot per detection pass, shared
-    // read-only by every pool worker (cache-friendly CSR reads, no live
-    // hash indexes on the hot path). Reads over the snapshot are
-    // bit-identical to reads over `g` (tests/test_snapshot.cc), so the
-    // store receives the exact sequential seeding either way.
-    std::unique_ptr<GraphSnapshot> built;
-    const GraphView& view = SnapshotForPass(src, &built);
     // Compile each rule's pattern once for the pass; every worker task of a
     // rule then replays its plan instead of re-interpreting the pattern.
     std::vector<const Pattern*> patterns;
     patterns.reserve(rules.size());
     for (RuleId r = 0; r < rules.size(); ++r)
       patterns.push_back(&rules[r].pattern());
-    const std::vector<MatchPlan> plans = CompilePlans(patterns, view);
+    const std::vector<MatchPlan> plans = CompilePlans(patterns, g);
     std::vector<const MatchPlan*> plan_ptrs;
     plan_ptrs.reserve(plans.size());
     for (const MatchPlan& p : plans) plan_ptrs.push_back(&p);
     ParallelDetector detector(pool);
     MatchStats st = detector.Detect(
-        view, rules,
+        g, rules,
         [&](RuleId r, const Match& m) {
-          double cost = FixCost(view, rules[r], m, model, conf_attr);
+          double cost = FixCost(g, rules[r], m, model, conf_attr);
           store->Add(r, m, cost);
         },
         plan_ptrs.data());
@@ -64,11 +51,11 @@ size_t DetectInto(const GraphView& g, const RuleSet& rules,
   }
   for (RuleId r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
-    const MatchPlan plan = MatchPlan::Compile(rule.pattern(), src);
-    Matcher matcher(src, rule.pattern(), &plan);
+    const MatchPlan plan = MatchPlan::Compile(rule.pattern(), g);
+    Matcher matcher(g, rule.pattern(), &plan);
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
-      double cost = FixCost(src, rule, m, model, conf_attr);
+      double cost = FixCost(g, rule, m, model, conf_attr);
       store->Add(r, m, cost);
       return true;
     });
@@ -85,12 +72,17 @@ std::unique_ptr<ThreadPool> MakeDetectPool(size_t num_threads) {
 }
 
 // CountViolations against an already-running pool (the strategy runners
-// reuse their detection pool instead of spawning a fresh one per count).
-size_t CountWith(const GraphView& g, const RuleSet& rules,
-                 ThreadPool* pool) {
+// reuse their detection pool instead of spawning a fresh one per count),
+// its wall-clock added to *detect_ms.
+size_t CountWith(const GraphView& g, const RuleSet& rules, ThreadPool* pool,
+                 double* detect_ms) {
+  Timer t;
   CostModel model;
   ViolationStore store;
-  return DetectInto(g, rules, &store, model, /*conf_attr=*/0, nullptr, pool);
+  size_t n =
+      DetectInto(g, rules, &store, model, /*conf_attr=*/0, nullptr, pool);
+  *detect_ms += t.ElapsedMs();
+  return n;
 }
 
 std::vector<EditEntry> JournalSlice(const Graph& g, size_t from) {
@@ -118,18 +110,17 @@ void DetectDelta(const GraphView& g, const RuleSet& rules,
 
 size_t DetectAll(const GraphView& g, const RuleSet& rules,
                  ViolationStore* store,
-                 size_t* expansions, size_t num_threads,
-                 const GraphView* snapshot) {
+                 size_t* expansions, size_t num_threads) {
   CostModel model;
   std::unique_ptr<ThreadPool> pool = MakeDetectPool(num_threads);
   return DetectInto(g, rules, store, model, /*conf_attr=*/0, expansions,
-                    pool.get(), snapshot);
+                    pool.get());
 }
 
 size_t CountViolations(const GraphView& g, const RuleSet& rules,
-                       size_t num_threads, const GraphView* snapshot) {
+                       size_t num_threads) {
   ViolationStore store;
-  return DetectAll(g, rules, &store, nullptr, num_threads, snapshot);
+  return DetectAll(g, rules, &store, nullptr, num_threads);
 }
 
 RepairEngine::RepairEngine(RepairOptions options)
@@ -253,7 +244,8 @@ Result<RepairResult> RepairEngine::RunGreedy(
   }
 
   if (seed_delta == nullptr) {
-    res.remaining_violations = CountWith(*g, rules, detect_pool());
+    res.remaining_violations =
+        CountWith(*g, rules, detect_pool(), &res.detect_ms);
   } else {
     // Dynamic mode stays O(delta): the store was drained, so anything left
     // is what the budget cut off. Callers wanting a global count run
@@ -329,7 +321,8 @@ Result<RepairResult> RepairEngine::RunNaive(Graph* g,
   }
   if (res.rounds >= options_.max_rounds) res.budget_exhausted = true;
 
-  res.remaining_violations = CountWith(*g, rules, pool.get());
+  res.remaining_violations =
+      CountWith(*g, rules, pool.get(), &res.detect_ms);
   res.repair_cost = g->CostSince(start_mark, options_.cost_model);
   res.total_ms = total.ElapsedMs();
   return res;
@@ -437,7 +430,8 @@ Result<RepairResult> RepairEngine::RunBatch(Graph* g,
   }
   if (res.rounds >= options_.max_rounds) res.budget_exhausted = true;
 
-  res.remaining_violations = CountWith(*g, rules, pool.get());
+  res.remaining_violations =
+      CountWith(*g, rules, pool.get(), &res.detect_ms);
   res.repair_cost = g->CostSince(start_mark, options_.cost_model);
   res.total_ms = total.ElapsedMs();
   return res;
@@ -470,6 +464,7 @@ struct ExactSearch {
   std::vector<ExactStep> cur_seq;
   std::unordered_map<uint64_t, double> seen;
   size_t expansions = 0;
+  double detect_ms = 0.0;
   bool exhausted = false;
 
   void Dfs(size_t depth) {
@@ -486,7 +481,9 @@ struct ExactSearch {
     seen[fp] = cost;
 
     ViolationStore store;
+    Timer t;
     DetectInto(*g, *rules, &store, opts->cost_model, conf, nullptr);
+    detect_ms += t.ElapsedMs();
     if (store.Empty()) {
       best_cost = cost;
       best_seq = cur_seq;
@@ -542,7 +539,7 @@ Result<RepairResult> RepairEngine::RunExact(Graph* g,
   SymbolId conf = ConfAttr(*g);
   size_t start_mark = g->JournalSize();
 
-  res.initial_violations = CountViolations(*g, rules);
+  res.initial_violations = CountWith(*g, rules, nullptr, &res.detect_ms);
 
   ExactSearch search;
   search.g = g;
@@ -552,10 +549,12 @@ Result<RepairResult> RepairEngine::RunExact(Graph* g,
   search.start_mark = start_mark;
   search.Dfs(0);
   res.budget_exhausted = search.exhausted;
+  res.detect_ms += search.detect_ms;
 
   if (search.best_cost == std::numeric_limits<double>::infinity()) {
     // No full repair found within budget; leave the graph untouched.
-    res.remaining_violations = CountViolations(*g, rules);
+    res.remaining_violations =
+        CountWith(*g, rules, nullptr, &res.detect_ms);
     res.total_ms = total.ElapsedMs();
     return res;
   }
@@ -600,7 +599,8 @@ Result<RepairResult> RepairEngine::RunExact(Graph* g,
   }
   res.rounds = res.applied.size();
 
-  res.remaining_violations = CountViolations(*g, rules);
+  res.remaining_violations =
+      CountWith(*g, rules, nullptr, &res.detect_ms);
   res.repair_cost = g->CostSince(start_mark, options_.cost_model);
   res.matcher_expansions = search.expansions;
   res.total_ms = total.ElapsedMs();

@@ -39,11 +39,13 @@ struct RepairOptions {
   size_t exact_max_expansions = 500'000;
   size_t exact_max_depth = 64;
   /// Worker threads for full (re-)detection — the initial detection of
-  /// incremental mode and every full re-detection route through
-  /// parallel::ParallelDetector when this exceeds 1 (0 = hardware
-  /// concurrency). Results are bit-identical to the sequential path; only
-  /// wall-clock and the expansions statistic change. Delta-anchored
-  /// re-detection stays sequential (it is already O(delta)).
+  /// incremental mode, every full re-detection and the closing count route
+  /// through parallel::ParallelDetector when this exceeds 1 (0 = hardware
+  /// concurrency). The workers read the graph being repaired directly: it
+  /// is frozen for the duration of each pass. Results are bit-identical to
+  /// the sequential path; only wall-clock and the expansions statistic
+  /// change. Delta-anchored re-detection stays sequential (it is already
+  /// O(delta)).
   size_t num_threads = 1;
 };
 
@@ -54,44 +56,30 @@ struct RepairResult {
   size_t initial_violations = 0;
   size_t remaining_violations = 0;  ///< from a final full re-detection
   double repair_cost = 0.0;         ///< weighted journal cost of all edits
-  double detect_ms = 0.0;           ///< time in (re-)detection
+  /// Time in (re-)detection, the closing full count included.
+  double detect_ms = 0.0;
   double total_ms = 0.0;
   size_t matcher_expansions = 0;
   bool budget_exhausted = false;
   bool oscillation_detected = false;
 };
 
-/// True when multi-threaded full detection builds a read-optimized
-/// GraphSnapshot per pass and fans matching out over it (sequential
-/// detection reads the live graph directly). Benchmarks record this in
-/// their JSON headers so perf trajectories stay comparable across PRs.
-inline constexpr bool kSnapshotDetectReads = true;
-
 /// Runs detection only: fills `store` with every violation of `rules` in
 /// `g`. Returns the number of live violations. With num_threads > 1 the
-/// matching builds one immutable GraphSnapshot for the pass and fans out
-/// over a thread pool reading it; the store contents and order are
-/// identical to the sequential result for any thread count.
-///
-/// `snapshot`, when non-null, must be a snapshot VIEW of `g`'s exact
-/// current state (a fresh-built or delta-patched GraphSnapshot, or a
-/// ShardedSnapshot — anything whose IsSnapshotView() is true); the pass
-/// then reads it instead of building its own, so callers that repeatedly
-/// detect over an UNCHANGED graph (eval loops, thread-count sweeps,
-/// benchmarks) pay the O(V+E) snapshot cost once instead of per call.
-/// Reads over a snapshot are bit-identical to reads over the live graph —
-/// for a sharded snapshot across every shard count — so results do not
-/// depend on whether (or which) one is supplied.
+/// matching fans out over a thread pool whose workers all read `g` itself
+/// (it must not change during the call); the store contents and order are
+/// identical to the sequential result for any thread count. Any view
+/// works: the live Graph, or a GraphSnapshot / ShardedSnapshot a caller
+/// already holds for an unchanged graph — reads over a snapshot are
+/// bit-identical to reads over the live graph, so the result does not
+/// depend on which one is passed.
 size_t DetectAll(const GraphView& g, const RuleSet& rules,
                  ViolationStore* store,
-                 size_t* expansions = nullptr, size_t num_threads = 1,
-                 const GraphView* snapshot = nullptr);
+                 size_t* expansions = nullptr, size_t num_threads = 1);
 
-/// Counts violations without keeping them. Same `snapshot` contract as
-/// DetectAll.
+/// Counts violations without keeping them. Same contract as DetectAll.
 size_t CountViolations(const GraphView& g, const RuleSet& rules,
-                       size_t num_threads = 1,
-                       const GraphView* snapshot = nullptr);
+                       size_t num_threads = 1);
 
 /// Delta-anchored re-detection: adds, for every rule, each violation the
 /// edit slice `delta` can have introduced to `store`, costed with

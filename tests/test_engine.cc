@@ -72,6 +72,10 @@ TEST_F(EngineTest, AllStrategiesReachZeroViolations) {
     RepairResult res = Run(strategy, rules);
     EXPECT_EQ(res.remaining_violations, 0u)
         << RepairStrategyName(strategy);
+    // detect_ms covers every detection pass, the closing count included,
+    // and never exceeds the run's wall-clock.
+    EXPECT_GT(res.detect_ms, 0.0) << RepairStrategyName(strategy);
+    EXPECT_LE(res.detect_ms, res.total_ms) << RepairStrategyName(strategy);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "graph/error_injector.h"
 #include "graph/generators.h"
 #include "mining/rule_miner.h"
+#include "obs/trace.h"
 #include "parallel/parallel_detector.h"
 #include "parallel/thread_pool.h"
 #include "repair/engine.h"
@@ -290,6 +291,84 @@ TEST(ParallelMiningTest, MinedRulesIdenticalAcrossThreadCounts) {
       EXPECT_EQ(seq[i].evidence, par[i].evidence);
       EXPECT_DOUBLE_EQ(seq[i].support, par[i].support);
     }
+  }
+}
+
+// ------------------------------------------------ Live-graph fan-out
+
+// Threaded full passes read the live Graph they are given: no pass builds
+// a snapshot (no snapshot.build span is traced), and every result is
+// bit-identical to the sequential one.
+TEST(LiveGraphFanOutTest, NoSnapshotBuildAndIdenticalResults) {
+  DatasetBundle bundle = SmallKg();
+  const Graph& g = bundle.graph;
+  MiningOptions mopt;
+  mopt.min_evidence = 5;
+
+  // Sequential references, computed with tracing off.
+  ViolationStore seq_store;
+  const size_t n_seq = DetectAll(g, bundle.rules, &seq_store);
+  const std::vector<Violation> seq_violations = Drain(&seq_store);
+  const std::vector<MinedRule> seq_mined = MineRules(g, mopt);
+  Graph seq_repaired = g.Clone();
+  auto seq_repair = RepairEngine().Run(&seq_repaired, bundle.rules);
+  ASSERT_TRUE(seq_repair.ok()) << seq_repair.status().ToString();
+
+  obs::ClearTrace();
+  obs::SetTracingEnabled(true);
+  ViolationStore par_store;
+  const size_t n_par =
+      DetectAll(g, bundle.rules, &par_store, /*expansions=*/nullptr, 4);
+  mopt.num_threads = 2;
+  const std::vector<MinedRule> par_mined = MineRules(g, mopt);
+  RepairOptions ropt;
+  ropt.num_threads = 2;
+  Graph par_repaired = g.Clone();
+  auto par_repair = RepairEngine(ropt).Run(&par_repaired, bundle.rules);
+  obs::SetTracingEnabled(false);
+  const std::string trace = obs::ChromeTraceJson();
+  ASSERT_TRUE(par_repair.ok()) << par_repair.status().ToString();
+
+#ifndef GREPAIR_OBS_DISABLED
+  // The pool traces every task, so an empty trace would mean the probe
+  // below saw nothing at all rather than no snapshot build.
+  EXPECT_NE(trace.find("\"name\":\"pool.task\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"name\":\"snapshot.build\""), std::string::npos);
+#endif
+  obs::ClearTrace();
+
+  EXPECT_EQ(n_seq, n_par);
+  const std::vector<Violation> par_violations = Drain(&par_store);
+  ASSERT_EQ(seq_violations.size(), par_violations.size());
+  for (size_t i = 0; i < seq_violations.size(); ++i) {
+    EXPECT_EQ(seq_violations[i].rule, par_violations[i].rule) << "pop " << i;
+    EXPECT_EQ(seq_violations[i].alternatives, par_violations[i].alternatives)
+        << "pop " << i;
+    EXPECT_EQ(seq_violations[i].best_cost, par_violations[i].best_cost)
+        << "pop " << i;
+  }
+
+  ASSERT_EQ(seq_mined.size(), par_mined.size());
+  for (size_t i = 0; i < seq_mined.size(); ++i) {
+    EXPECT_EQ(seq_mined[i].rule.name(), par_mined[i].rule.name());
+    EXPECT_EQ(seq_mined[i].kind, par_mined[i].kind);
+    EXPECT_EQ(seq_mined[i].evidence, par_mined[i].evidence);
+    EXPECT_EQ(seq_mined[i].support, par_mined[i].support);
+  }
+
+  const RepairResult& a = seq_repair.value();
+  const RepairResult& b = par_repair.value();
+  EXPECT_TRUE(seq_repaired.ContentEquals(par_repaired));
+  EXPECT_EQ(a.initial_violations, b.initial_violations);
+  EXPECT_EQ(a.remaining_violations, b.remaining_violations);
+  EXPECT_EQ(a.repair_cost, b.repair_cost);
+  ASSERT_EQ(a.applied.size(), b.applied.size());
+  for (size_t i = 0; i < a.applied.size(); ++i) {
+    EXPECT_EQ(a.applied[i].ToString(*g.vocab()),
+              b.applied[i].ToString(*g.vocab()))
+        << "fix " << i;
+    EXPECT_EQ(a.applied[i].journal_end, b.applied[i].journal_end)
+        << "fix " << i;
   }
 }
 
