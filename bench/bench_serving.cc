@@ -24,16 +24,18 @@
 //
 // S4 — Published-read throughput: N reader threads loop full detection
 // against the epoch-published snapshot generation while a writer commits
-// batches, vs the single-mutex baseline where every read serializes behind
-// the same mutex the writer holds. Reports aggregate reads/sec per
-// (readers x writer batch size) cell — the scaling the lock-free read path
-// exists for (DESIGN.md "Read path / epoch publication").
+// batches, vs the single-lock baseline where every read serializes behind
+// the same FIFO lock the writer takes. Reports aggregate reads/sec beside
+// writer batches/sec per (readers x writer batch size) cell — the scaling
+// the lock-free read path exists for (DESIGN.md "Read path / epoch
+// publication").
 //
 // GREPAIR_BENCH_SMOKE=1 shrinks all sections to CI-smoke scale; the JSON
 // header records the mode so collected artifacts stay comparable.
 #include "bench_common.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -308,12 +310,35 @@ void DurabilitySweep(const DatasetBundle& clean, const std::string& policy,
   }
 }
 
+// FIFO ticket lock for the S4 baseline: waiters are served in arrival
+// order, so a committing writer waits behind at most one read per reader.
+// A std::mutex lets a looping reader re-acquire ahead of a waiting writer
+// (and glibc's rwlock prefers readers), which starves the writer and lets a
+// cell overrun its time budget without bound.
+class TicketLock {
+ public:
+  void lock() {
+    const uint64_t mine = next_.fetch_add(1, std::memory_order_relaxed);
+    for (uint64_t now = serving_.load(std::memory_order_acquire); now != mine;
+         now = serving_.load(std::memory_order_acquire))
+      serving_.wait(now, std::memory_order_acquire);
+  }
+  void unlock() {
+    serving_.fetch_add(1, std::memory_order_release);
+    serving_.notify_all();
+  }
+
+ private:
+  std::atomic<uint64_t> next_{0};
+  std::atomic<uint64_t> serving_{0};
+};
+
 // S4: one (readers, writer batch, locking) cell — reader threads loop
 // DetectPublished while the main thread commits batches for `seconds` of
 // wall clock. With `mutex_baseline` every read AND every commit serializes
-// behind one shared mutex (the pre-publication locking discipline, on
-// identical detection work); without it both run the lock-free published
-// path. The ratio between the two rows is the read-path speedup.
+// behind one shared FIFO lock (the single-lock discipline, on identical
+// detection work); without it both run the lock-free published path. The
+// ratio between the two rows is the read-path speedup.
 void ReadPathSweep(const DatasetBundle& clean, size_t readers,
                    size_t writer_batch, bool mutex_baseline, double seconds,
                    TableWriter* table) {
@@ -321,7 +346,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
   sopt.num_threads = 2;
   sopt.shard_min_anchors = 2;
   RepairService service(clean.graph.Clone(), clean.rules, sopt);
-  std::mutex service_mu;  // the baseline's serialization point
+  TicketLock service_mu;  // the baseline's serialization point
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
 
@@ -330,7 +355,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
     pool.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         if (mutex_baseline) {
-          std::lock_guard<std::mutex> lock(service_mu);
+          std::lock_guard<TicketLock> lock(service_mu);
           if (!service.DetectPublished("").ok()) std::abort();
         } else {
           if (!service.DetectPublished("").ok()) std::abort();
@@ -348,7 +373,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
     std::vector<EditEntry> ops = MakeBatch(&scratch, &rng, writer_batch);
     Result<BatchResult> r = Status::Ok();
     if (mutex_baseline) {
-      std::lock_guard<std::mutex> lock(service_mu);
+      std::lock_guard<TicketLock> lock(service_mu);
       r = service.ApplyBatch(ops);
     } else {
       r = service.ApplyBatch(ops);
@@ -388,8 +413,7 @@ void ReadPathSweep(const DatasetBundle& clean, size_t readers,
 int main() {
   const bool smoke = SmokeMode();
   PrintBenchHeader("S1: serving throughput vs batch size x threads (KG)",
-                   std::string("\"incremental_snapshots\":true,\"smoke\":") +
-                       (smoke ? "true" : "false"));
+                   std::string("\"smoke\":") + (smoke ? "true" : "false"));
   const size_t kPersons = smoke ? 400 : 2000;
   TableWriter t("S1: commit latency / edit throughput (KG)",
                 {"batch_size", "threads", "batches", "edits", "fixes",
@@ -527,9 +551,9 @@ int main() {
   std::puts("\nCSV:");
   std::fputs(t4.ToCsv().c_str(), stdout);
 
-  // --- S4: published-read throughput vs the single-mutex baseline -------
+  // --- S4: published-read throughput vs the single-lock baseline --------
   TableWriter t5("S4: published-read throughput — lock-free readers vs "
-                 "single-mutex baseline",
+                 "single-lock baseline",
                  {"readers", "writer_batch", "locking", "reads_per_s",
                   "batches", "batches_per_s"});
   std::vector<size_t> reader_counts =

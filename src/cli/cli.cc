@@ -41,13 +41,13 @@ constexpr char kUsage[] = R"(usage:
           [--trace-out trace.json] [--listen PORT] [--max-connections N]
           [--max-requests-per-sec R] [--wal DIR] [--fsync-policy P]
           [--fsync-interval-ms MS] [--checkpoint-every N]
-          [--publish on|off] [--max-read-threads N]
+          [--max-read-threads N]
   grepair wal dump <dir>
 
 --threads N fans detection / mining statistics out over N worker threads
 (0 = hardware concurrency); results are identical to --threads 1.
 --shards S partitions serve's cached read snapshot into S storage shards
-(0 = one per worker thread, 1 = monolithic); results are identical for
+(0 = one per worker thread, 1 = a single shard); results are identical for
 any S, but a hot shard rebuilds alone instead of forcing a full rebuild.
 
 serve reads edit commands from stdin, one per line, and repairs after each
@@ -56,7 +56,7 @@ commit (see DESIGN.md "Serving model"):
   remove_node <id>                   remove_edge <id>
   set_node_label <id> <Label>        set_edge_label <id> <label>
   set_node_attr <id> <attr> <value>  set_edge_attr <id> <attr> <value>
-  commit | stats | save <path> | quit
+  commit | stats | quit
   detect [rule]     count violations on the last published snapshot
                     generation (optionally one rule by name); runs outside
                     the commit path, any number concurrently
@@ -69,6 +69,7 @@ commit (see DESIGN.md "Serving model"):
   metrics           dump all instruments in Prometheus text exposition
   trace <path>      flush the commit-path trace rings to <path> as Chrome
                     trace-event JSON (requires --trace-out or prior traces)
+  shutdown          quit, and stop a --listen server for every client
 
 --trace-out FILE enables commit-path tracing for the session and writes the
 accumulated spans to FILE (Chrome trace-event JSON, Perfetto-loadable) when
@@ -85,15 +86,12 @@ server; `quit` only closes that client's connection. Protocol errors are
 machine-parseable `err <code> <msg>` lines (DESIGN.md "Network serving" has
 the code set); tools/serve_client.py is a minimal scripting client.
 
---publish on|off (default on) controls epoch-published snapshots: after
-each committed batch the service atomically publishes an immutable snapshot
-generation, and the read verbs (`detect`, `violations`) run against it
-WITHOUT taking the commit mutex — reads scale with cores and a slow
-detection never stalls writers (DESIGN.md "Read path / epoch publication").
---max-read-threads N (default 0 = unlimited) caps concurrently executing
-read verbs; excess reads are shed with `err busy`. `off` is the ablation
-switch: read verbs answer `err rejected` and serving degrades to the
-single-mutex behavior.
+After each committed batch the service atomically publishes an immutable
+snapshot generation, and the read verbs (`detect`, `violations`) run
+against it WITHOUT taking the commit mutex — reads scale with cores and a
+slow detection never stalls writers (DESIGN.md "Read path / epoch
+publication"). --max-read-threads N (default 0 = unlimited) caps
+concurrently executing read verbs; excess reads are shed with `err busy`.
 
 --wal DIR makes serve durable: every committed batch is appended to a
 write-ahead log in DIR (fsynced per --fsync-policy: every = fsync each
@@ -124,7 +122,7 @@ const std::map<std::string, std::set<std::string>>& AllowedFlags() {
       {"serve",
        {"threads", "shards", "trace-out", "listen", "max-connections",
         "max-requests-per-sec", "wal", "fsync-policy", "fsync-interval-ms",
-        "checkpoint-every", "publish", "max-read-threads"}},
+        "checkpoint-every", "max-read-threads"}},
       {"wal", {}},
   };
   return kAllowed;
@@ -503,15 +501,6 @@ Status CmdServe(const Args& args, std::string* out, std::istream* in,
   if (auto it = args.flags.find("checkpoint-every"); it != args.flags.end()) {
     if (!ParseUint64(it->second, &sopt.checkpoint_every))
       return Status::InvalidArgument("bad --checkpoint-every");
-  }
-  if (auto it = args.flags.find("publish"); it != args.flags.end()) {
-    if (it->second == "on") {
-      sopt.publish_snapshots = true;
-    } else if (it->second == "off") {
-      sopt.publish_snapshots = false;
-    } else {
-      return Status::InvalidArgument("bad --publish (want on or off)");
-    }
   }
   if (auto it = args.flags.find("max-read-threads"); it != args.flags.end()) {
     uint64_t v = 0;

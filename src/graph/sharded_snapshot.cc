@@ -200,6 +200,7 @@ bool ShardedSnapshot::HasEdge(NodeId src, NodeId dst, SymbolId label) const {
 }
 
 std::vector<NodeId> ShardedSnapshot::Nodes() const {
+  if (shards_.size() == 1) return shards_[0]->Nodes();
   std::vector<IdSpan> spans;
   spans.reserve(shards_.size());
   for (const auto& s : shards_) spans.push_back(s->NodesWithLabelSorted(0));
@@ -207,6 +208,7 @@ std::vector<NodeId> ShardedSnapshot::Nodes() const {
 }
 
 std::vector<EdgeId> ShardedSnapshot::Edges() const {
+  if (shards_.size() == 1) return shards_[0]->Edges();
   std::vector<std::vector<EdgeId>> lists;
   lists.reserve(shards_.size());
   std::vector<IdSpan> spans;
@@ -220,6 +222,7 @@ std::vector<EdgeId> ShardedSnapshot::Edges() const {
 
 bool ShardedSnapshot::CollectNodesWithLabel(SymbolId label,
                                             std::vector<NodeId>* out) const {
+  if (shards_.size() == 1) return shards_[0]->CollectNodesWithLabel(label, out);
   std::vector<IdSpan> spans;
   spans.reserve(shards_.size());
   for (const auto& s : shards_)
@@ -230,6 +233,8 @@ bool ShardedSnapshot::CollectNodesWithLabel(SymbolId label,
 
 bool ShardedSnapshot::CollectNodesWithAttr(SymbolId attr, SymbolId value,
                                            std::vector<NodeId>* out) const {
+  if (shards_.size() == 1)
+    return shards_[0]->CollectNodesWithAttr(attr, value, out);
   std::vector<IdSpan> spans;
   spans.reserve(shards_.size());
   for (const auto& s : shards_)

@@ -19,7 +19,10 @@
 // a per-edge owner byte (the src's shard, O(1)); candidate collection and
 // whole-graph enumeration k-way-merge the shards' ascending groups, so
 // every read — order included — is bit-identical to a monolithic snapshot
-// and to the live graph (tests/test_sharded_snapshot.cc).
+// and to the live graph (tests/test_sharded_snapshot.cc). A single shard
+// owns everything: enumeration returns its result directly and
+// AsSnapshot() exposes it, so S = 1 reads cost what one GraphSnapshot
+// costs.
 //
 // Concurrency contract: Advance/construction happen on the writer thread
 // (shard tasks may fan out over a caller-supplied runner — each task
@@ -135,6 +138,11 @@ class ShardedSnapshot final : public GraphView {
   size_t CountEdgesWithLabel(SymbolId label) const override;
 
   size_t NumStorageShards() const override { return shards_.size(); }
+  /// The single shard when S = 1 (it IS the whole store), so the matcher
+  /// takes its zero-copy partition spans; null when sharded.
+  const GraphSnapshot* AsSnapshot() const override {
+    return shards_.size() == 1 ? shards_[0].get() : nullptr;
+  }
 
  private:
   const GraphSnapshot& NodeShard(NodeId n) const {

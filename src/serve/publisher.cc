@@ -7,7 +7,7 @@ namespace serve {
 
 Generation* SnapshotPublisher::Writable() {
   std::lock_guard<std::mutex> lock(mu_);
-  const int w = enabled_ ? (published_ < 0 ? 0 : 1 - published_) : 0;
+  const int w = published_ < 0 ? 0 : 1 - published_;
   if (slots_[w] == nullptr) {
     slots_[w] = std::make_shared<Generation>();
     slots_[w]->epoch = epoch_;
@@ -23,8 +23,7 @@ Generation* SnapshotPublisher::Writable() {
     // The backing graph was swapped since this store was built; its
     // watermark is meaningless against the new delta log. Drop the store
     // so the caller rebuilds from the current graph.
-    slots_[w]->mono.reset();
-    slots_[w]->sharded.reset();
+    slots_[w]->store.reset();
     slots_[w]->backlog.clear();
     slots_[w]->watermark = 0;
     slots_[w]->epoch = epoch_;
@@ -33,7 +32,6 @@ Generation* SnapshotPublisher::Writable() {
 }
 
 void SnapshotPublisher::Publish(uint64_t batch, std::vector<Violation> backlog) {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
   const int w = published_ < 0 ? 0 : 1 - published_;
   if (slots_[w] == nullptr || !slots_[w]->has_store()) return;
@@ -44,7 +42,6 @@ void SnapshotPublisher::Publish(uint64_t batch, std::vector<Violation> backlog) 
 }
 
 ReadLease SnapshotPublisher::Pin() const {
-  if (!enabled_) return ReadLease();
   std::lock_guard<std::mutex> lock(mu_);
   if (published_ < 0) return ReadLease();
   std::shared_ptr<Generation> gen = slots_[published_];

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "graph/graph_io.h"
-#include "graph/snapshot.h"
 #include "match/incremental.h"
 #include "obs/trace.h"
 #include "repair/fix.h"
@@ -20,6 +19,25 @@
 #include "util/strings.h"
 
 namespace grepair {
+
+namespace {
+
+// The one backlog order: rule, then the first alternative's nodes, then its
+// edges. The published `violations` pages and the SaveState file both sort
+// by it (the store iterates a hash map), so two replicas at the same batch
+// page identically and the two orders cannot drift apart.
+template <typename V>
+void SortBacklog(std::vector<V>* backlog) {
+  std::sort(backlog->begin(), backlog->end(), [](const V& a, const V& b) {
+    if (a.rule != b.rule) return a.rule < b.rule;
+    const Match& ma = a.alternatives.front();
+    const Match& mb = b.alternatives.front();
+    if (ma.nodes != mb.nodes) return ma.nodes < mb.nodes;
+    return ma.edges < mb.edges;
+  });
+}
+
+}  // namespace
 
 double ServiceStats::LatencyPercentileMs(double p) const {
   if (batch_ms.empty()) return 0.0;  // no commits in the window yet
@@ -79,8 +97,7 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
     : options_(std::move(options)),
       graph_(std::move(graph)),
       rules_(std::move(rules)),
-      clean_mark_(graph_.JournalSize()),
-      publisher_(options_.publish_snapshots) {
+      clean_mark_(graph_.JournalSize()) {
   Status valid = options_.Validate();
   if (!valid.ok()) throw std::invalid_argument(valid.ToString());
 
@@ -161,9 +178,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "snapshot generation.");
   m_stale_reads_ = registry_.GetCounter(
       "grepair_serve_stale_reads_total",
-      "Read requests refused before pinning a generation (publishing "
-      "disabled, nothing published yet, unknown rule, or shed by the "
-      "max_read_threads gate).");
+      "Read requests refused before pinning a generation (shed by the "
+      "max_read_threads gate, or an unknown rule filter).");
   m_published_generation_ = registry_.GetGauge(
       "grepair_serve_published_generation",
       "Generation number of the snapshot readers currently pin (0 before "
@@ -196,23 +212,21 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       obs::DefaultLatencyBucketsMs());
   if (options_.num_threads != 1)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  // Record physical deltas for incremental snapshot maintenance — kept by
-  // any service that reads snapshots: one whose pool can fan out, or one
-  // that publishes generations (even single-threaded). A 1-thread
-  // non-publishing service pays no record copies and keeps num_shards_ at
-  // 1, since no snapshot ever exists to shard.
+  // A sequential service has no shard tasks to align storage with and keeps
+  // one shard.
   if (pool_ != nullptr) {
     num_shards_ = options_.num_shards == 0 ? pool_->NumThreads()
                                            : options_.num_shards;
     num_shards_ = std::min(num_shards_, ShardedSnapshot::kMaxShards);
   }
-  if (pool_ != nullptr || publisher_.enabled()) graph_.EnableDeltaLog();
+  // Record physical deltas: every publication advances a slot store from
+  // the delta log in O(delta).
+  graph_.EnableDeltaLog();
   // Eager first publication: readers can pin the constructed state before
-  // any batch commits, and the spare slot economics of the seed pass stay
-  // exactly as they were pre-publication (the FIRST seed acquisition still
-  // finds an empty slot and builds it; this construction build counts only
-  // in the publication instruments).
-  if (publisher_.enabled()) PublishGeneration(0);
+  // any batch commits (the FIRST seed acquisition still finds an empty slot
+  // and builds it; this construction build counts only in the publication
+  // instruments).
+  PublishGeneration(0);
 }
 
 storage::Fs* RepairService::StateFs() const {
@@ -253,14 +267,6 @@ ParallelRunner RepairService::ShardRunner() const {
   };
 }
 
-bool RepairService::PatchWithinBudget(const GraphSnapshot& snap,
-                                      uint64_t pending) const {
-  const double budget =
-      options_.snapshot_rebuild_fraction *
-      static_cast<double>(std::max<size_t>(graph_.NumEdges(), 64));
-  return static_cast<double>(pending + snap.PatchedEdits()) <= budget;
-}
-
 RepairService::SlotAdvance RepairService::AdvanceSlot(
     serve::Generation* slot) {
   obs::Stopwatch t;
@@ -278,42 +284,25 @@ RepairService::SlotAdvance RepairService::AdvanceSlot(
   // The slot's contents change, so cached match plans must revalidate
   // their variable orders against the new cardinalities.
   ++plan_generation_;
-  // A slot whose pending slice was trimmed off the delta log (it forfeited
-  // its claim in TrimConsumedDeltaLog) can no longer be patched.
-  const bool stale =
-      slot->has_store() && slot->watermark < graph_.DeltaLogBegin();
-  if (num_shards_ > 1) {
-    // Sharded store: the patch-or-rebuild decision moves inside
-    // ShardedSnapshot::Advance and becomes PER SHARD — clean shards are
-    // untouched, lightly dirty shards patch, and a shard past its own
-    // fraction rebuilds alone (~1/S of a monolithic rebuild), all fanned
-    // out over the pool. The whole advance counts as a patch only when no
-    // shard had to rebuild.
-    if (!options_.incremental_snapshots || slot->sharded == nullptr ||
-        stale) {
-      slot->mono.reset();
-      slot->sharded = std::make_unique<ShardedSnapshot>(graph_, num_shards_,
-                                                        ShardRunner());
-      out.shards_rebuilt = num_shards_;
-    } else {
-      auto [records, count] = graph_.DeltaLogSince(slot->watermark);
-      ShardedSnapshot::AdvanceStats adv =
-          slot->sharded->Advance(graph_, records, count,
-                                 options_.snapshot_rebuild_fraction,
-                                 ShardRunner());
-      out.shards_patched = adv.shards_patched;
-      out.shards_rebuilt = adv.shards_rebuilt;
-      out.patched = adv.shards_rebuilt == 0;
-    }
-  } else if (options_.incremental_snapshots && !stale &&
-             slot->mono != nullptr &&
-             PatchWithinBudget(*slot->mono, log_end - slot->watermark)) {
-    auto [records, count] = graph_.DeltaLogSince(slot->watermark);
-    slot->mono->Patch(records, count);
-    out.patched = true;
+  // A slot with no store, or whose pending slice is no longer in the delta
+  // log, is built afresh.
+  if (!slot->has_store() || slot->watermark < graph_.DeltaLogBegin()) {
+    slot->store =
+        std::make_unique<ShardedSnapshot>(graph_, num_shards_, ShardRunner());
+    out.shards_rebuilt = num_shards_;
   } else {
-    slot->sharded.reset();
-    slot->mono = std::make_unique<GraphSnapshot>(graph_);
+    // The patch-or-rebuild decision is PER SHARD inside
+    // ShardedSnapshot::Advance: clean shards are untouched, lightly dirty
+    // shards patch, and a shard past its own fraction rebuilds alone (~1/S
+    // of a whole-store rebuild), all fanned out over the pool. The whole
+    // advance counts as a patch only when no shard had to rebuild.
+    auto [records, count] = graph_.DeltaLogSince(slot->watermark);
+    ShardedSnapshot::AdvanceStats adv = slot->store->Advance(
+        graph_, records, count, options_.snapshot_rebuild_fraction,
+        ShardRunner());
+    out.shards_patched = adv.shards_patched;
+    out.shards_rebuilt = adv.shards_rebuilt;
+    out.patched = adv.shards_rebuilt == 0;
   }
   slot->watermark = log_end;
   out.ms = t.ElapsedMs();
@@ -334,27 +323,16 @@ const GraphView& RepairService::AcquireSnapshot(BatchResult* res) {
   }
   res->snapshot_ms = adv.ms;
   TrimConsumedDeltaLog();
-  return *slot->view();
+  return *slot->store;
 }
 
 void RepairService::PublishGeneration(uint64_t batch) {
-  if (!publisher_.enabled()) return;
   OBS_SPAN("commit.publish");
   obs::Stopwatch t;
   serve::Generation* slot = publisher_.Writable();
   AdvanceSlot(slot);  // bring it past the cascade fixes (publish-side cost)
-  // Deterministic backlog page source: the SaveState sort order, so two
-  // replicas at the same batch page identically.
   std::vector<Violation> backlog = store_.Snapshot();
-  std::sort(backlog.begin(), backlog.end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.rule != b.rule) return a.rule < b.rule;
-              if (a.alternatives.front().nodes != b.alternatives.front().nodes)
-                return a.alternatives.front().nodes <
-                       b.alternatives.front().nodes;
-              return a.alternatives.front().edges <
-                     b.alternatives.front().edges;
-            });
+  SortBacklog(&backlog);
   publisher_.Publish(batch, std::move(backlog));
   m_published_generation_->Set(
       static_cast<int64_t>(publisher_.CurrentGeneration()));
@@ -365,55 +343,21 @@ void RepairService::PublishGeneration(uint64_t batch) {
 void RepairService::TrimConsumedDeltaLog() {
   const uint64_t log_begin = graph_.DeltaLogBegin();
   const uint64_t log_end = graph_.DeltaLogEnd();
-  if (publisher_.enabled()) {
-    // Publishing keeps BOTH slots advancing — every commit moves the
-    // writable slot to log_end at publication, so the laggard (the slot
-    // retired by the previous publish) is at most one batch behind. Keep
-    // records back to the oldest valid watermark and let AdvanceSlot's own
-    // budget checks decide patch vs rebuild when they are consumed; growth
-    // is structurally bounded at ~2 batches of records. A slot from an
-    // older epoch (or already trimmed past) holds no claim.
-    uint64_t keep_from = log_end;
-    publisher_.ForEachSlot([&](const serve::Generation& s) {
-      if (!s.has_store()) return;
-      if (s.epoch != publisher_.current_epoch()) return;
-      if (s.watermark < log_begin || s.watermark > log_end) return;
-      keep_from = std::min(keep_from, s.watermark);
-    });
-    graph_.TrimDeltaLog(keep_from);
-    return;
-  }
-  if (pool_ == nullptr) return;  // no delta log without a snapshot consumer
-  // Non-publishing pool service: ONE private slot, advanced only when a
-  // commit fans out. Between fan-outs records accumulate, so reproduce the
-  // historical CapDeltaLogGrowth economics: keep them only while the store
-  // could still patch them cheaper than the rebuild it would otherwise
-  // get; past the budget drop the store AND the records (nobody reads the
-  // slot — publication is off).
-  serve::Generation* slot = publisher_.Writable();
-  if (slot->has_store() && slot->epoch == publisher_.current_epoch() &&
-      slot->watermark >= log_begin && slot->watermark <= log_end) {
-    const uint64_t pending = log_end - slot->watermark;
-    bool keep = true;
-    if (pending > 0) {
-      const uint64_t patched = slot->sharded != nullptr
-                                   ? slot->sharded->PatchedEdits()
-                                   : slot->mono->PatchedEdits();
-      // Aggregate bound for the sharded store: per-shard budgets sum to
-      // roughly fraction * |E|, the same gate the monolithic path uses.
-      keep = static_cast<double>(pending + patched) <=
-             options_.snapshot_rebuild_fraction *
-                 static_cast<double>(std::max<size_t>(graph_.NumEdges(), 64));
-    }
-    if (keep) {
-      graph_.TrimDeltaLog(slot->watermark);
-      return;
-    }
-    slot->mono.reset();
-    slot->sharded.reset();
-    slot->watermark = log_end;
-  }
-  graph_.TrimDeltaLog(log_end);
+  // Publication keeps BOTH slots advancing — every commit moves the
+  // writable slot to log_end at publication, so the laggard (the slot
+  // retired by the previous publish) is at most one batch behind. Keep
+  // records back to the oldest valid watermark and let the per-shard budget
+  // checks decide patch vs rebuild when they are consumed; growth is
+  // structurally bounded at ~2 batches of records. A slot from an older
+  // epoch (or already trimmed past) holds no claim.
+  uint64_t keep_from = log_end;
+  publisher_.ForEachSlot([&](const serve::Generation& s) {
+    if (!s.has_store()) return;
+    if (s.epoch != publisher_.current_epoch()) return;
+    if (s.watermark < log_begin || s.watermark > log_end) return;
+    keep_from = std::min(keep_from, s.watermark);
+  });
+  graph_.TrimDeltaLog(keep_from);
 }
 
 const ServiceStats& RepairService::stats() const {
@@ -615,11 +559,6 @@ Result<BatchResult> RepairService::Commit() {
       for (RuleId r = 0; r < rules_.size(); ++r)
         plans.push_back(
             plan_cache_.Get(r, rules_[r].pattern(), *view, plan_generation_));
-    } else if (!publisher_.enabled()) {
-      // No publication will advance the slots this commit, so cap the
-      // delta log here: slots whose pending slice already lost to a
-      // rebuild forfeit their claim and the records go.
-      TrimConsumedDeltaLog();
     }
     MatchStats st = detector.Detect(
         *view, rules_, anchors,
@@ -784,16 +723,7 @@ std::string RepairService::SerializeServiceState() const {
     }
     if (!sv.alternatives.empty()) backlog.push_back(std::move(sv));
   }
-  // Deterministic file order (Snapshot() iterates a hash map).
-  std::sort(backlog.begin(), backlog.end(),
-            [](const SavedViolation& a, const SavedViolation& b) {
-              if (a.rule != b.rule) return a.rule < b.rule;
-              if (a.alternatives.front().nodes != b.alternatives.front().nodes)
-                return a.alternatives.front().nodes <
-                       b.alternatives.front().nodes;
-              return a.alternatives.front().edges <
-                     b.alternatives.front().edges;
-            });
+  SortBacklog(&backlog);
 
   std::string out = "# grepair service state v1\n";
   const Vocabulary& v = *graph_.vocab();
@@ -953,7 +883,7 @@ Status RepairService::LoadServiceState(const std::string& text,
   // reader until the republication below atomically replaces it. A reader
   // therefore never observes a half-restored store.
   graph_ = std::move(restored);
-  if (pool_ != nullptr || publisher_.enabled()) graph_.EnableDeltaLog();
+  graph_.EnableDeltaLog();
   publisher_.BeginNewEpoch();
   plan_cache_.Clear();
   read_plans_.Clear();
@@ -1193,11 +1123,6 @@ Result<PublishedDetect> RepairService::DetectPublished(
     }
   }
   serve::ReadLease lease = publisher_.Pin();
-  if (!lease.valid()) {
-    m_stale_reads_->Add(1);
-    return Status::FailedPrecondition(
-        "no published snapshot generation (publishing disabled?)");
-  }
   obs::Stopwatch t;
   const GraphView& view = lease.view();
   std::vector<const Pattern*> patterns;
@@ -1245,11 +1170,6 @@ Result<PublishedViolations> RepairService::ReadViolations(
     return Status::ResourceExhausted("read capacity exhausted");
   }
   serve::ReadLease lease = publisher_.Pin();
-  if (!lease.valid()) {
-    m_stale_reads_->Add(1);
-    return Status::FailedPrecondition(
-        "no published snapshot generation (publishing disabled?)");
-  }
   obs::Stopwatch t;
   PublishedViolations out;
   out.generation = lease->generation;

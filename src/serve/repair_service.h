@@ -9,13 +9,15 @@
 //      and seeds the violation store with batched PARALLEL delta-detection
 //      (parallel::ParallelDeltaDetector over the service pool — bit-identical
 //      to the sequential RunDelta seeding for any thread count). A
-//      fanning-out seed pass reads the service's CACHED GraphSnapshot,
+//      fanning-out seed pass reads the service's CACHED ShardedSnapshot,
 //      advanced to the current state by patching the graph's delta log —
 //      O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
 //      "Incremental maintenance"; rebuilt past snapshot_rebuild_fraction);
 //   3. repair cascades drain the store greedily, exactly like
 //      RepairEngine::RunDelta: pop cheapest, re-verify, apply, re-detect
-//      sequentially around the fix (a cascade delta is O(1) anchors).
+//      sequentially around the fix (a cascade delta is O(1) anchors);
+//   4. the batch is published: the same cached store, advanced past the
+//      cascade fixes, becomes the generation lock-free readers pin.
 //
 // Threading contract: all mutation happens on the caller's thread; worker
 // threads only read the frozen graph during step 2 (DESIGN.md "Threading
@@ -36,7 +38,6 @@
 
 #include "graph/graph.h"
 #include "graph/sharded_snapshot.h"
-#include "graph/snapshot.h"
 #include "serve/publisher.h"
 #include "grr/rule.h"
 #include "match/plan.h"
@@ -68,35 +69,21 @@ struct ServeOptions {
   /// Per-batch cascade budget; an exhausted batch leaves the remaining
   /// violations in the store for the next commit to continue draining.
   size_t max_fixes_per_batch = 1'000'000;
-  /// Maintain ONE read snapshot across commits and advance it per batch
-  /// from the graph's delta log (O(delta)) instead of rebuilding it from
-  /// scratch (O(V+E)) — the incremental serving hot path. Disable to force
-  /// a rebuild whenever a batch fans out (mainly for tests/benchmarks).
-  bool incremental_snapshots = true;
-  /// Rebuild instead of patch once the records to apply — the pending
-  /// delta plus everything already patched into the cached snapshot —
-  /// exceed this fraction of |E|: per-record overlay bookkeeping has a
-  /// higher constant than the linear rebuild, and a heavily patched
-  /// snapshot carries overlay lookups on its read paths. Under sharding
-  /// the same fraction applies PER SHARD against the shard's own edge
-  /// count, so a hot shard rebuilds alone.
+  /// The snapshot store is advanced per batch from the graph's delta log
+  /// (O(delta)); a shard is rebuilt instead of patched once the records to
+  /// apply — its pending delta plus everything already patched into it —
+  /// exceed this fraction of the shard's edge count: per-record overlay
+  /// bookkeeping has a higher constant than the linear rebuild, and a
+  /// heavily patched shard carries overlay lookups on its read paths. A
+  /// hot shard rebuilds alone. 0 = rebuild every shard a batch touches.
   double snapshot_rebuild_fraction = 0.15;
-  /// Storage shards for the cached read snapshot (ShardedSnapshot): 0 =
-  /// one shard per pool thread (the default — build, patch and rebuild all
-  /// align with the detection fan-out), 1 = one monolithic GraphSnapshot,
-  /// capped at ShardedSnapshot::kMaxShards. Ignored by a sequential
-  /// (1-thread) service, which never reads snapshots. Results are
-  /// bit-identical across shard counts; only wall-clock changes.
+  /// Storage shards of the snapshot store (ShardedSnapshot): 0 = one shard
+  /// per pool thread (the default — build, patch and rebuild all align
+  /// with the detection fan-out), 1 = a single shard, capped at
+  /// ShardedSnapshot::kMaxShards. A sequential (1-thread) service keeps a
+  /// single shard. Results are bit-identical across shard counts; only
+  /// wall-clock changes.
   size_t num_shards = 0;
-  /// Publish an immutable snapshot generation after every committed batch
-  /// (and at construction / restore) through the RCU-style
-  /// serve::SnapshotPublisher, so `detect` / `violations` readers run
-  /// lock-free against the last committed state while the writer commits
-  /// (DESIGN.md "Read path / epoch publication"). Disabling reverts to the
-  /// write-only service: read verbs answer `err rejected` and no
-  /// publication work rides the commit path (the ablation baseline
-  /// bench_serving S4 compares against).
-  bool publish_snapshots = true;
   /// Cap on concurrently executing published reads across all transports
   /// (`--max-read-threads`); excess requests are shed with `err busy`
   /// instead of queueing behind each other. 0 = unlimited.
@@ -160,7 +147,7 @@ struct BatchResult {
   size_t fixes = 0;  ///< cascade fixes applied
   size_t expansions = 0;    ///< matcher expansions (detection + cascades)
   /// True when seed detection fanned out over the pool and therefore read
-  /// from a GraphSnapshot instead of the live graph (see DESIGN.md
+  /// from the snapshot store instead of the live graph (see DESIGN.md
   /// "Storage model").
   bool snapshot_reads = false;
   /// Among snapshot-read batches: true when the cached snapshot was
@@ -213,23 +200,22 @@ struct ServiceStats {
   size_t snapshot_rebuilds = 0;
   double snapshot_patch_ms = 0.0;
   double snapshot_rebuild_ms = 0.0;
-  /// Per-shard ledger of the sharded store (zeros when serving with one
-  /// monolithic snapshot): cumulative SHARDS patched / rebuilt across all
-  /// acquisitions. A commit that patches 3 shards and rebuilds the one hot
-  /// shard adds 3 and 1 — the dirty-shard-only economics the monolithic
-  /// counters cannot express (they count the whole acquisition as one
-  /// rebuild whenever any shard rebuilt).
+  /// Per-shard ledger of the store: cumulative SHARDS patched / rebuilt
+  /// across all seed-pass acquisitions. A commit that patches 3 shards and
+  /// rebuilds the one hot shard adds 3 and 1 — the dirty-shard-only
+  /// economics the whole-store counters above cannot express (they count
+  /// the whole acquisition as one rebuild whenever any shard rebuilt).
   size_t shard_patches = 0;
   size_t shard_rebuilds = 0;
   /// Heap footprint of the publisher's snapshot slots (0 when none).
   /// Computed when stats() is queried — the walk over the snapshot's
   /// attribute maps is O(V+E) and must not ride the per-commit hot path.
   size_t snapshot_memory_bytes = 0;
-  /// Epoch-publication ledger (all zero with publish_snapshots=false).
+  /// Epoch-publication ledger.
   size_t published_generation = 0;  ///< last published generation number
   size_t publishes = 0;             ///< generations published
   size_t published_reads = 0;       ///< detect/violations served lock-free
-  size_t stale_reads = 0;  ///< reads rejected (nothing published / disabled)
+  size_t stale_reads = 0;  ///< reads shed by max_read_threads / unknown rule
   double publish_ms = 0.0; ///< cumulative publication wall-clock
   /// Durability ledger (all zero on a service without a wal_dir).
   bool read_only = false;        ///< degraded after a storage failure
@@ -365,9 +351,8 @@ class RepairService {
   ///
   /// The three calls below are safe from ANY thread while the writer
   /// commits: they pin the last published generation (publisher mutex —
-  /// pointer work only), then run entirely against that frozen state.
-  /// kFailedPrecondition = nothing published (publishing disabled or the
-  /// service was constructed with it off); kResourceExhausted = the
+  /// pointer work only; construction publishes generation 0), then run
+  /// entirely against that frozen state. kResourceExhausted = the
   /// max_read_threads gate shed the request; kNotFound = unknown rule
   /// filter.
 
@@ -405,8 +390,8 @@ class RepairService {
   /// instruments here so the `metrics` verb exports them).
   obs::MetricsRegistry* mutable_metrics_registry() { return &registry_; }
   const ServeOptions& options() const { return options_; }
-  /// Effective storage shards of the cached snapshot (1 = monolithic; also
-  /// 1 for a sequential service, which never snapshots).
+  /// Effective storage shards of the snapshot store (always 1 for a
+  /// sequential service).
   size_t num_shards() const { return num_shards_; }
   /// True after a WAL/checkpoint write failed: every mutation is refused
   /// with kIo until the process restarts (and recovers). Reads still work.
@@ -416,28 +401,21 @@ class RepairService {
 
  private:
   SymbolId ConfAttr() const;
-  /// The one rebuild-threshold policy for a MONOLITHIC slot store: true
-  /// when advancing `snap` by `pending` more records stays within
-  /// `snapshot_rebuild_fraction` of |E| (accumulated patches included).
-  /// Sharded slots apply the same fraction per shard inside
-  /// ShardedSnapshot::Advance.
-  bool PatchWithinBudget(const GraphSnapshot& snap, uint64_t pending) const;
   /// How one publisher-slot advancement went (AdvanceSlot): the caller
   /// attributes the numbers to the seed-pass instruments or the
   /// publication instruments depending on which path asked.
   struct SlotAdvance {
     bool patched = false;      ///< O(delta) patch (vs (re)build)
-    size_t shards_patched = 0; ///< per-shard ledger (sharded slots only)
+    size_t shards_patched = 0; ///< per-shard ledger
     size_t shards_rebuilt = 0;
     double ms = 0.0;
   };
   /// Brings a publisher slot to the CURRENT graph state: patches its store
-  /// forward by the delta-log slice since its watermark, or (re)builds
-  /// when it has none / the slice was trimmed away / the patch fraction
-  /// crosses `snapshot_rebuild_fraction` / incremental maintenance is
-  /// disabled. Under sharding the patch-or-rebuild decision is PER SHARD
-  /// (dirty shards rebuild alone, in parallel over the pool). Bumps
-  /// plan_generation_ so the seed-pass PlanCache revalidates.
+  /// forward by the delta-log slice since its watermark, or builds it when
+  /// it has none / the slice was trimmed away. The patch-or-rebuild
+  /// decision is PER SHARD (a shard past `snapshot_rebuild_fraction`
+  /// rebuilds alone, in parallel over the pool). Bumps plan_generation_ so
+  /// the seed-pass PlanCache revalidates.
   SlotAdvance AdvanceSlot(serve::Generation* slot);
   /// Hands out the read snapshot view for a fanning-out seed pass: the
   /// publisher's writable slot advanced to the current graph (the SAME
@@ -448,12 +426,11 @@ class RepairService {
   /// Publishes the writable slot as the next generation at committed batch
   /// `batch`: advances it past any remaining delta (cascade fixes), copies
   /// the backlog in SaveState order, flips the published pointer, trims
-  /// the consumed delta log. No-op with publishing disabled.
+  /// the consumed delta log.
   void PublishGeneration(uint64_t batch);
-  /// Trims the delta log to the oldest position any slot still needs for
-  /// an in-budget patch; a slot whose pending records already exceed the
-  /// rebuild threshold forfeits its claim (it will rebuild anyway), so a
-  /// fan-out drought never accumulates an unbounded log.
+  /// Trims the delta log to the oldest watermark of a current-epoch slot;
+  /// publication advances a slot every commit, so the log holds at most
+  /// ~2 batches of records.
   void TrimConsumedDeltaLog();
   /// Shard-task runner over the service pool (null runner when there is no
   /// pool to fan out over).
@@ -489,12 +466,10 @@ class RepairService {
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads == 1
   size_t num_shards_ = 1;  ///< resolved ServeOptions::num_shards
   size_t clean_mark_ = 0;  ///< journal position of the last commit
-  /// The double-buffered snapshot slots (monolithic store when num_shards_
-  /// == 1, sharded otherwise) and the atomic publication point readers pin
-  /// generations from. The writable slot doubles as the seed-pass read
-  /// cache: AcquireSnapshot advances it, Commit publishes it. Maintained
-  /// whenever the pool can fan out OR publishing is on (a sequential
-  /// non-publishing service never snapshots).
+  /// The double-buffered snapshot slots (num_shards_ shards each) and the
+  /// atomic publication point readers pin generations from. The writable
+  /// slot doubles as the seed-pass read cache: AcquireSnapshot advances it,
+  /// Commit publishes it.
   serve::SnapshotPublisher publisher_;
   /// Compiled match plans for the fanning-out seed pass, keyed by rule
   /// index and revalidated against the acquired slot's generation: each

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "graph/graph_io.h"
 #include "obs/build_info.h"
 #include "obs/trace.h"
 #include "util/strings.h"
@@ -37,7 +36,6 @@ const std::map<std::string, VerbSpec, std::less<>>& VerbTable() {
       {"stats", {Verb::kStats, 1, 1}},
       {"metrics", {Verb::kMetrics, 1, 1}},
       {"trace", {Verb::kTrace, 2, 2}},
-      {"save", {Verb::kSave, 2, 2}},
       {"snapshot", {Verb::kSnapshot, 2, 2}},
       {"restore", {Verb::kRestore, 2, 2}},
       {"quit", {Verb::kQuit, 1, 1}},
@@ -59,7 +57,6 @@ std::string ReadErrResponse(const Status& st) {
   switch (st.code()) {
     case StatusCode::kResourceExhausted:
       return ErrResponse("busy", st.ToString());
-    case StatusCode::kFailedPrecondition:
     case StatusCode::kNotFound:
       return ErrResponse("rejected", st.ToString());
     default:
@@ -75,7 +72,7 @@ bool ParseId(const std::string& s, uint32_t* id) {
 }
 
 /// Protocol code for a status coming out of a service/file operation
-/// (restore, save, trace). Parse failures use ParseErrResponse instead.
+/// (snapshot, restore, trace). Parse failures use ParseErrResponse instead.
 std::string ExecErrCode(const Status& st) {
   switch (st.code()) {
     case StatusCode::kFailedPrecondition:
@@ -181,7 +178,6 @@ Result<Request> ParseRequest(const std::string& line,
       break;
     }
     case Verb::kTrace:
-    case Verb::kSave:
     case Verb::kSnapshot:
     case Verb::kRestore:
       req.path = tok[1];
@@ -365,11 +361,6 @@ std::string Session::HandleLocked(const Request& req) {
       if (!obs::WriteChromeTrace(req.path))
         return ErrResponse("io", "cannot write trace: " + req.path);
       return StrFormat("trace %s events=%zu", req.path.c_str(), events);
-    }
-    case Verb::kSave: {
-      Status st = SaveGraph(service_->graph(), req.path);
-      return st.ok() ? "saved " + req.path
-                     : ErrResponse(ExecErrCode(st), st.ToString());
     }
     case Verb::kSnapshot: {
       // SaveState commits pending edits first; surface that in the

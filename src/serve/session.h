@@ -26,11 +26,10 @@
 //   bad_id        an element id failed to parse or overflows the id space
 //   bad_request   the line is malformed in some other way
 //   rejected      the service refused an edit (dead id, bad endpoint, ...),
-//                 or a read verb could not be served (publishing disabled,
-//                 nothing published yet, unknown rule filter)
+//                 or a read verb named an unknown rule
 //   staged_edits  restore refused while uncommitted edits are staged
 //   busy          admission control shed the connection or request
-//   io            a file/device operation failed (save/trace/...), or a
+//   io            a file/device operation failed (snapshot/trace/...), or a
 //                 WAL append failed — the batch was rolled back and the
 //                 service is read-only until restarted
 //   corrupt       stored bytes failed validation (restore, recovery)
@@ -68,7 +67,6 @@ enum class Verb {
   kStats,
   kMetrics,
   kTrace,
-  kSave,
   kSnapshot,
   kRestore,
   kQuit,
@@ -81,7 +79,7 @@ struct Request {
   /// Edit verbs only: the journal-shaped op, ids parsed and symbols
   /// interned, ready for RepairService::ApplyEdit.
   EditEntry edit;
-  /// kTrace/kSave/kSnapshot/kRestore only: the target file path.
+  /// kTrace/kSnapshot/kRestore only: the target file path.
   std::string path;
   /// kDetect only: optional rule-name filter ("" = all rules). Kept as a
   /// raw string — read verbs must never intern (see IsPublishedRead).

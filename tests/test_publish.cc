@@ -433,24 +433,6 @@ TEST(PublishIsolationTest, RestoreRepublishesAtomically) {
 
 // --------------------------------------------------- options and protocol
 
-TEST(PublishOptionsTest, DisabledPublishingRejectsReads) {
-  DatasetBundle bundle = KgBundle(/*repaired=*/false);
-  ServeOptions sopt;
-  sopt.publish_snapshots = false;
-  RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
-
-  EXPECT_FALSE(service.PinPublished().valid());
-  auto d = service.DetectPublished("");
-  ASSERT_FALSE(d.ok());
-  EXPECT_EQ(d.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.stats().published_generation, 0u);
-  EXPECT_GT(service.stats().stale_reads, 0u);
-
-  serve::Session session(&service, serve::SessionMode::kImmediate);
-  EXPECT_EQ(session.HandleLine("detect").rfind("err rejected", 0), 0u);
-  EXPECT_EQ(session.HandleLine("violations").rfind("err rejected", 0), 0u);
-}
-
 TEST(PublishOptionsTest, ValidateBoundsMaxReadThreads) {
   ServeOptions sopt;
   sopt.max_read_threads = 4096;

@@ -71,7 +71,6 @@ TEST(ParseRequestTest, ParsesEveryVerb) {
       {"stats", Verb::kStats},
       {"metrics", Verb::kMetrics},
       {"trace /tmp/t.json", Verb::kTrace},
-      {"save /tmp/g.tsv", Verb::kSave},
       {"snapshot /tmp/s.snap", Verb::kSnapshot},
       {"restore /tmp/s.snap", Verb::kRestore},
       {"quit", Verb::kQuit},
