@@ -4,6 +4,9 @@
 // graph-vs-snapshot read-path comparison (seeding + single-rule expansion).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_common.h"
 #include "eval/experiment.h"
 #include "graph/sharded_snapshot.h"
@@ -13,6 +16,7 @@
 #include "match/intersect.h"
 #include "match/plan.h"
 #include "repair/engine.h"
+#include "util/rng.h"
 
 namespace grepair {
 namespace {
@@ -235,6 +239,54 @@ void BM_SnapshotPatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotPatch)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMicrosecond);
+
+// What a fold costs when it compacts in place instead of rebuilding: each
+// iteration patches an untimed churn slice of ~15% of |E| records (the
+// default snapshot_rebuild_fraction) — edge adds, removals of the previous
+// iteration's adds, attribute flips — and then times Compact(). Compare
+// against BM_SnapshotBuild at the same scale (tools/check_bench_plan.py
+// gates the ratio).
+void BM_SnapshotCompact(benchmark::State& state) {
+  Workload w(static_cast<size_t>(state.range(0)));
+  w.graph.EnableDeltaLog();
+  const auto& person_set = w.graph.NodesWithLabel(w.schema.person);
+  std::vector<NodeId> persons(person_set.begin(), person_set.end());
+  std::sort(persons.begin(), persons.end());
+  SymbolId attr = w.vocab->Attr("bench_note");
+  SymbolId v0 = w.vocab->Value("v0"), v1 = w.vocab->Value("v1");
+  GraphSnapshot snap(w.graph);
+  uint64_t watermark = w.graph.DeltaLogEnd();
+  const size_t per_kind = w.graph.NumEdges() * 5 / 100;
+  Rng rng(7);
+  std::vector<EdgeId> added;
+  bool flip = false;
+  size_t records_total = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (EdgeId e : added) (void)w.graph.RemoveEdge(e);
+    added.clear();
+    SymbolId value = flip ? v0 : v1;
+    flip = !flip;
+    for (size_t i = 0; i < per_kind; ++i) {
+      NodeId a = persons[rng.PickIndex(persons)];
+      NodeId b = persons[rng.PickIndex(persons)];
+      auto e = w.graph.AddEdge(a, b, w.schema.knows);
+      if (e.ok()) added.push_back(e.value());
+      (void)w.graph.SetNodeAttr(persons[rng.PickIndex(persons)], attr, value);
+    }
+    auto [records, count] = w.graph.DeltaLogSince(watermark);
+    snap.Patch(records, count);
+    records_total += count;
+    watermark = w.graph.DeltaLogEnd();
+    w.graph.TrimDeltaLog(watermark);
+    state.ResumeTiming();
+    snap.Compact();
+  }
+  state.counters["records_per_fold"] = benchmark::Counter(
+      static_cast<double>(records_total), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SnapshotCompact)->Arg(1000)->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 // Shard-partitioned store: what the S per-shard column sets cost to build
 // (compare BM_SnapshotBuild — the work is split S ways, so the sequential

@@ -46,10 +46,13 @@ ShardedSnapshot::ShardedSnapshot(const GraphView& g, size_t num_shards,
   node_bound_ = g.NodeIdBound();
   edge_bound_ = g.EdgeIdBound();
   // Owner routing for every edge id ever allocated — tombstones keep their
-  // endpoints addressable, so the owner of a dead edge is well defined.
-  edge_owner_.resize(edge_bound_);
-  for (EdgeId e = 0; e < edge_bound_; ++e)
-    edge_owner_[e] = static_cast<uint8_t>(StorageShardOfNode(g.Edge(e).src, S));
+  // endpoints addressable, so the owner of a dead edge is well defined. A
+  // single shard owns every edge.
+  edge_owner_.assign(edge_bound_, 0);
+  if (S > 1)
+    for (EdgeId e = 0; e < edge_bound_; ++e)
+      edge_owner_[e] =
+          static_cast<uint8_t>(StorageShardOfNode(g.Edge(e).src, S));
 
   shards_.resize(S);
   RunShards(S, runner, [&](size_t s) {
@@ -104,23 +107,30 @@ ShardedSnapshot::AdvanceStats ShardedSnapshot::Advance(
     }
   }
 
-  // Decide per shard: clean shards are untouched, lightly dirty shards
-  // patch, and a shard whose pending records plus accumulated patches
-  // cross its own rebuild fraction rebuilds ALONE — the dirty-shard-only
-  // rebuild that keeps a hot region from forcing an O(V+E) whole-store
-  // rebuild.
+  // Decide per shard. Clean shards are untouched and a lightly dirty shard
+  // patches. A shard whose pending records plus accumulated patches cross
+  // its own rebuild fraction folds ALONE: it patches and then compacts in
+  // place — unless the pending slice by itself exceeds the budget (a bulk
+  // load, or a zero fraction), where patching record by record would cost
+  // more than building that shard afresh from `g`.
+  enum class Step : uint8_t { kNone, kPatch, kCompact, kBuild };
   AdvanceStats out;
-  std::vector<uint8_t> rebuild(S, 0);
+  std::vector<Step> step(S, Step::kNone);
   for (size_t s = 0; s < S; ++s) {
     if (pending[s] == 0) continue;
     const double budget =
         rebuild_fraction *
         static_cast<double>(std::max<size_t>(shards_[s]->NumEdges(), 64));
-    if (static_cast<double>(pending[s] + shards_[s]->PatchedEdits()) >
-        budget) {
-      rebuild[s] = 1;
+    if (static_cast<double>(pending[s]) > budget) {
+      step[s] = Step::kBuild;
       ++out.shards_rebuilt;
+    } else if (static_cast<double>(pending[s] +
+                                   shards_[s]->PatchedEdits()) > budget) {
+      step[s] = Step::kCompact;
+      ++out.shards_rebuilt;
+      ++out.shards_compacted;
     } else {
+      step[s] = Step::kPatch;
       ++out.shards_patched;
     }
   }
@@ -129,15 +139,27 @@ ShardedSnapshot::AdvanceStats ShardedSnapshot::Advance(
   // shard's state (shards share nothing mutable) and only reads `g` and
   // the record slice, so the fan-out is race-free.
   RunShards(S, runner, [&](size_t s) {
-    if (pending[s] == 0) return;
-    if (rebuild[s]) {
-      OBS_SPAN_ARG("shard.advance.rebuild", "shard", s);
-      shards_[s] = std::make_unique<GraphSnapshot>(
-          g,
-          SnapshotShard{static_cast<uint32_t>(s), static_cast<uint32_t>(S)});
-    } else {
-      OBS_SPAN_ARG("shard.advance.patch", "shard", s);
-      shards_[s]->Patch(records, n);
+    switch (step[s]) {
+      case Step::kNone:
+        return;
+      case Step::kPatch: {
+        OBS_SPAN_ARG("shard.advance.patch", "shard", s);
+        shards_[s]->Patch(records, n);
+        return;
+      }
+      case Step::kCompact: {
+        OBS_SPAN_ARG("shard.advance.compact", "shard", s);
+        shards_[s]->Patch(records, n);
+        shards_[s]->Compact();
+        return;
+      }
+      case Step::kBuild: {
+        OBS_SPAN_ARG("shard.advance.rebuild", "shard", s);
+        shards_[s] = std::make_unique<GraphSnapshot>(
+            g, SnapshotShard{static_cast<uint32_t>(s),
+                             static_cast<uint32_t>(S)});
+        return;
+      }
     }
   });
   RefreshCounts();

@@ -8,9 +8,10 @@
 //     source view and can run one-per-pool-task;
 //   - PATCH routes each delta-log record to the shard(s) it touches
 //     (GraphSnapshot::AppliesTo), making dirty-fraction accounting
-//     per-shard: a hot shard crosses its rebuild threshold and is rebuilt
-//     ALONE in ~1/S the monolithic rebuild time while clean shards keep
-//     patching (Advance implements the policy);
+//     per-shard: a hot shard crosses its rebuild threshold and folds
+//     ALONE — compacted in place (GraphSnapshot::Compact), or built afresh
+//     from the source when the pending slice alone is too large to patch —
+//     while clean shards keep patching (Advance implements the policy);
 //   - DETECTION fan-out aligns with storage: NumStorageShards() exposes S
 //     and the parallel detectors partition their seed/anchor lists by the
 //     same function, so one task's reads stay within one shard's columns.
@@ -60,18 +61,24 @@ class ShardedSnapshot final : public GraphView {
                   const ParallelRunner& runner = {});
 
   /// Outcome of one Advance: how many shards took the O(delta) patch path
-  /// vs a 1/S rebuild. Untouched shards count in neither.
+  /// vs a fold (an in-place compaction, or a fresh build when compaction
+  /// is not possible). Untouched shards count in neither.
   struct AdvanceStats {
     size_t shards_patched = 0;
-    size_t shards_rebuilt = 0;
+    size_t shards_rebuilt = 0;    ///< folds: compactions + fresh builds
+    size_t shards_compacted = 0;  ///< the folds compacted in place
   };
 
   /// Advances the store by `n` delta-log records to mirror `g`'s current
-  /// state: routes the records, then PER SHARD either patches (records
-  /// pending for the shard plus its accumulated PatchedEdits stay within
-  /// `rebuild_fraction` of the shard's edge count, floored at 64) or
-  /// rebuilds that shard alone from `g`. Shard work fans out over `runner`.
-  /// NOT thread-safe with concurrent reads: call between passes.
+  /// state: routes the records, then PER SHARD, against a budget of
+  /// `rebuild_fraction` of the shard's edge count (floored at 64):
+  ///   - patches while its pending records plus accumulated PatchedEdits
+  ///     stay within budget;
+  ///   - patches and then compacts in place once they cross it;
+  ///   - rebuilds that shard alone from `g` when the pending records by
+  ///     themselves exceed it (a bulk slice, or a zero fraction).
+  /// Shard work fans out over `runner`. NOT thread-safe with concurrent
+  /// reads: call between passes.
   AdvanceStats Advance(const GraphView& g, const EditEntry* records, size_t n,
                        double rebuild_fraction,
                        const ParallelRunner& runner = {});
@@ -79,7 +86,7 @@ class ShardedSnapshot final : public GraphView {
   size_t NumShards() const { return shards_.size(); }
   const GraphSnapshot& shard(size_t s) const { return *shards_[s]; }
   /// Total records applied across all shards since each shard's last
-  /// (re)build — the aggregate dirtiness.
+  /// build or compaction — the aggregate dirtiness.
   size_t PatchedEdits() const;
   /// Heap footprint rolled up across shards plus the routing table, so
   /// serving stats stay truthful under sharding.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "obs/trace.h"
 
@@ -39,6 +40,13 @@ void SortedErase(std::vector<NodeId>* v, NodeId x) {
   auto it = std::lower_bound(v->begin(), v->end(), x);
   assert(it != v->end() && *it == x);
   v->erase(it);
+}
+
+// Empties a container AND frees its storage (clear() keeps buckets and
+// capacity, which MemoryBytes() would keep counting).
+template <typename Container>
+void Release(Container* c) {
+  Container().swap(*c);
 }
 
 }  // namespace
@@ -149,10 +157,140 @@ GraphSnapshot::GraphSnapshot(const GraphView& g, SnapshotShard shard)
     std::copy(in.begin(), in.end(), in_edges_.begin() + in_offset_[n]);
   }
 
-  // --- (src, dst, label, id)-sorted alive-edge index for HasEdge -------
-  edge_search_ = alive_edges_;
-  std::sort(edge_search_.begin(), edge_search_.end(),
-            [this](EdgeId a, EdgeId b) { return EdgeSearchLess(a, b); });
+  BuildEdgeSearch();
+}
+
+void GraphSnapshot::BuildEdgeSearch() {
+  // The out-CSR holds exactly the owned alive edges, grouped by ascending
+  // src; sorting each short row by (dst, label, id) yields the global
+  // (src, dst, label, id) order.
+  edge_search_ = std::vector<EdgeId>(out_edges_.begin(), out_edges_.end());
+  for (size_t n = 0; n + 1 < out_offset_.size(); ++n) {
+    if (out_offset_[n + 1] - out_offset_[n] < 2) continue;
+    std::sort(edge_search_.begin() + out_offset_[n],
+              edge_search_.begin() + out_offset_[n + 1],
+              [this](EdgeId a, EdgeId b) { return EdgeSearchLess(a, b); });
+  }
+}
+
+void GraphSnapshot::Compact() {
+  OBS_SPAN_ARG("snapshot.compact", "shard", shard_.index);
+  if (!has_patches_) return;
+  const size_t nb = node_alive_.size();
+
+  // --- CSR rows from the current adjacency ------------------------------
+  // A row is the node's overlay when it has one, else its base row (ids
+  // past the base bound without an overlay are other shards' nodes). Dead
+  // nodes read empty either way: a node's edge removals precede its own.
+  // Exact sizes without a sizing pass: the base totals, corrected by each
+  // overlay against the base row it replaces (unsigned wrap-around cancels
+  // out in the sum).
+  auto base_len = [this](const std::vector<uint32_t>& offset, NodeId n) {
+    return n < base_node_bound_ ? offset[n + 1] - offset[n] : 0u;
+  };
+  size_t out_total = out_edges_.size();
+  size_t in_total = in_edges_.size();
+  for (const auto& [n, v] : out_patch_)
+    out_total = out_total + v.size() - base_len(out_offset_, n);
+  for (const auto& [n, v] : in_patch_)
+    in_total = in_total + v.size() - base_len(in_offset_, n);
+  std::vector<uint32_t> out_offset(nb + 1, 0);
+  std::vector<uint32_t> in_offset(nb + 1, 0);
+  std::vector<EdgeId> out_edges;
+  std::vector<EdgeId> in_edges;
+  out_edges.reserve(out_total);
+  in_edges.reserve(in_total);
+  for (NodeId n = 0; n < nb; ++n) {
+    if (adj_patched_[n]) {
+      const std::vector<EdgeId>& out = out_patch_.find(n)->second;
+      out_edges.insert(out_edges.end(), out.begin(), out.end());
+      const std::vector<EdgeId>& in = in_patch_.find(n)->second;
+      in_edges.insert(in_edges.end(), in.begin(), in.end());
+    } else if (n < base_node_bound_) {
+      out_edges.insert(out_edges.end(), out_edges_.begin() + out_offset_[n],
+                       out_edges_.begin() + out_offset_[n + 1]);
+      in_edges.insert(in_edges.end(), in_edges_.begin() + in_offset_[n],
+                      in_edges_.begin() + in_offset_[n + 1]);
+    }
+    out_offset[n + 1] = static_cast<uint32_t>(out_edges.size());
+    in_offset[n + 1] = static_cast<uint32_t>(in_edges.size());
+  }
+  assert(out_edges.size() == out_total && in_edges.size() == in_total);
+
+  // --- Candidate partitions: every current group, ascending key order ---
+  // Directory entries are rewritten in place: only groups a patch created
+  // are inserted and only emptied ones erased (label group 0, all alive
+  // nodes, stays even when empty, as a build always carries it).
+  auto fold_groups = [](auto* dir, const auto& patch,
+                        const std::vector<NodeId>& base, bool keep_zero,
+                        std::vector<NodeId>* nodes) {
+    using Key = typename std::decay_t<decltype(*dir)>::key_type;
+    std::vector<Key> keys;
+    keys.reserve(dir->size() + patch.size());
+    for (const auto& entry : *dir) keys.push_back(entry.first);
+    size_t total = base.size();
+    for (const auto& [key, group] : patch) {
+      auto it = dir->find(key);
+      if (it == dir->end()) {
+        keys.push_back(key);
+        total += group.size();
+      } else {
+        total = total + group.size() - it->second.len;
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    nodes->reserve(total);
+    for (Key key : keys) {
+      auto it = dir->find(key);
+      auto patched = patch.find(key);
+      IdSpan group =
+          patched != patch.end()
+              ? IdSpan{patched->second.data(), patched->second.size()}
+              : IdSpan{base.data() + it->second.offset, it->second.len};
+      if (group.size() == 0 && !(keep_zero && key == 0)) {
+        if (it != dir->end()) dir->erase(it);
+        continue;
+      }
+      Range r{static_cast<uint32_t>(nodes->size()),
+              static_cast<uint32_t>(group.size())};
+      nodes->insert(nodes->end(), group.begin(), group.end());
+      if (it != dir->end())
+        it->second = r;
+      else
+        dir->emplace(key, r);
+    }
+  };
+  std::vector<NodeId> label_nodes;
+  std::vector<NodeId> attr_nodes;
+  fold_groups(&label_dir_, label_patch_, label_nodes_, /*keep_zero=*/true,
+              &label_nodes);
+  fold_groups(&attr_dir_, attr_patch_, attr_nodes_, /*keep_zero=*/false,
+              &attr_nodes);
+  std::vector<EdgeId> alive_edges = Edges();
+
+  // --- Swap the folded arrays in, release the overlays ------------------
+  out_offset_ = std::move(out_offset);
+  in_offset_ = std::move(in_offset);
+  out_edges_ = std::move(out_edges);
+  in_edges_ = std::move(in_edges);
+  label_nodes_ = std::move(label_nodes);
+  attr_nodes_ = std::move(attr_nodes);
+  alive_edges_ = std::move(alive_edges);
+  adj_patched_.assign(nb, 0);
+  Release(&out_patch_);
+  Release(&in_patch_);
+  Release(&label_patch_);
+  Release(&attr_patch_);
+  Release(&edge_search_added_);
+  Release(&edge_search_dead_);
+  Release(&base_edge_label_);
+  Release(&alive_added_);
+  base_node_bound_ = nb;
+  base_edge_bound_ = edge_alive_.size();
+  has_patches_ = false;
+  patched_edits_ = 0;
+  // Keyed by the current labels, now that base_edge_label_ is gone.
+  BuildEdgeSearch();
 }
 
 // ------------------------------------------------------------------ reads

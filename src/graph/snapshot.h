@@ -25,9 +25,13 @@
 // are tombstoned in a hash set. Every read remains bit-identical to the
 // live Graph at the patched position — the serving layer
 // (RepairService::Commit) caches one snapshot across commits and patches
-// it per batch, rebuilding only when the accumulated patch fraction
-// crosses its threshold. Patch() must run on the writer thread BEFORE a
-// pass fans out; during a pass the snapshot is frozen and shared read-only
+// it per batch. Once the accumulated patch fraction crosses its threshold
+// the overlays are folded back into flat base arrays IN PLACE (Compact():
+// the dense columns are already current, so only the index structures are
+// re-laid out — no source-graph reads, no global sort); a fresh build from
+// the live graph is kept for a slice too large to patch and for epoch
+// changes. Patch()/Compact() must run on the writer thread BEFORE a pass
+// fans out; during a pass the snapshot is frozen and shared read-only
 // across all workers (no synchronization needed).
 //
 // Only the serving layer builds snapshots: RepairService keeps one cached
@@ -71,7 +75,7 @@ struct SnapshotShard {
 class GraphSnapshot final : public GraphView {
  public:
   /// Builds from any GraphView (in practice: the live Graph). O(V + E +
-  /// sort of the edge index). The source must not be mutated during
+  /// per-source sorts of the edge index). The source must not be mutated during
   /// construction. A non-default `shard` materializes only that shard's
   /// slice (see SnapshotShard); the constructor reads only `g`'s plain
   /// accessors (no lazily populated indexes), so shard builds of one
@@ -90,6 +94,17 @@ class GraphSnapshot final : public GraphView {
   /// thread (or one task per shard), between passes.
   void Patch(const EditEntry* records, size_t n);
 
+  /// Folds every patch overlay back into flat base arrays in place: CSR
+  /// rows, label/attr partitions, the alive-edge list and the sorted edge
+  /// index are re-laid out from the current reads, and the overlay state
+  /// is released (PatchedEdits() returns to 0, MemoryBytes() does not
+  /// grow). Every read is identical before and after. O(V + E) over this
+  /// shard's own columns, with no reads of the source graph, no global
+  /// sort, and allocations only for candidate groups a patch created — the
+  /// in-place alternative to a rebuild from the live graph. Same threading
+  /// contract as Patch.
+  void Compact();
+
   /// True when `rec` touches this snapshot's shard slice — the unit of the
   /// per-shard dirty accounting (PatchedEdits counts exactly the records
   /// AppliesTo accepted). Always true for the monolithic default shard.
@@ -98,8 +113,8 @@ class GraphSnapshot final : public GraphView {
   /// The shard slice this snapshot materializes ({0, 1} = monolithic).
   const SnapshotShard& shard() const { return shard_; }
 
-  /// Total records applied by Patch since construction — the "accumulated
-  /// patch fraction" input of rebuild heuristics.
+  /// Total records applied by Patch since construction or the last
+  /// Compact — the "accumulated patch fraction" input of fold heuristics.
   size_t PatchedEdits() const { return patched_edits_; }
 
   const VocabularyPtr& vocab() const override { return vocab_; }
@@ -217,6 +232,10 @@ class GraphSnapshot final : public GraphView {
   /// True when (src, dst, label) of a < that of b (id tie-break), over the
   /// CURRENT columns.
   bool EdgeSearchLess(EdgeId a, EdgeId b) const;
+  /// Derives edge_search_ from the out-CSR: sources ascending, each
+  /// source's short out-run sorted by (dst, label, id) — the global
+  /// (src, dst, label, id) order without a global sort.
+  void BuildEdgeSearch();
   /// The label a base edge_search_ entry was SORTED under. Relabeling an
   /// edge in place would silently re-key the base array and break its
   /// binary search for unrelated edges, so the first kSetEdgeLabel record
@@ -254,7 +273,8 @@ class GraphSnapshot final : public GraphView {
   std::vector<SymbolId> edge_label_;
   std::vector<AttrMap> edge_attrs_;
 
-  // CSR adjacency, per-node order copied verbatim from the source view.
+  // CSR adjacency, per-node order copied verbatim from the source view (or
+  // from the current reads at compaction).
   // Rows cover ids < base_node_bound_ only; patched or later-added nodes
   // read their overlay vectors instead (adj_patched_ flags them).
   std::vector<uint32_t> out_offset_;  // base_node_bound_+1 entries
@@ -270,9 +290,9 @@ class GraphSnapshot final : public GraphView {
   std::unordered_map<uint64_t, Range> attr_dir_;
 
   // Alive edges sorted by (src, dst, label, id) for HasEdge; and ascending
-  // alive edge ids for Edges(). Both are BASE (build-time) state once a
-  // patch lands: edge_alive_ / edge_search_dead_ filter stale entries and
-  // the *_added_ side arrays carry additions.
+  // alive edge ids for Edges(). Both are BASE (build- or compaction-time)
+  // state once a patch lands: edge_alive_ / edge_search_dead_ filter stale
+  // entries and the *_added_ side arrays carry additions.
   std::vector<EdgeId> edge_search_;
   std::vector<EdgeId> alive_edges_;
   std::unordered_map<SymbolId, size_t> edge_label_count_;

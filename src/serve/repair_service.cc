@@ -131,7 +131,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "Store shards advanced by an O(delta) patch.");
   m_shard_rebuilds_ = registry_.GetCounter(
       "grepair_shard_rebuilds_total",
-      "Store shards rebuilt from scratch (dirty-shard-only economics).");
+      "Store shards folded past the rebuild fraction: compacted in place, or "
+      "built afresh when the pending delta alone exceeds it.");
   m_wal_appends_ = registry_.GetCounter(
       "grepair_wal_appends_total", "Batches appended to the write-ahead log.");
   m_wal_bytes_ = registry_.GetCounter(
@@ -193,12 +194,14 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       obs::DefaultLatencyBucketsMs());
   m_acquire_patch_ms_ = registry_.GetHistogram(
       "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path; counts are the patch/rebuild "
+      "Snapshot acquisition latency by path (rebuild = any shard folded: "
+      "compacted in place or built afresh); counts are the patch/rebuild "
       "ledger.",
       obs::DefaultLatencyBucketsMs(), {{"path", "patch"}});
   m_acquire_rebuild_ms_ = registry_.GetHistogram(
       "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path; counts are the patch/rebuild "
+      "Snapshot acquisition latency by path (rebuild = any shard folded: "
+      "compacted in place or built afresh); counts are the patch/rebuild "
       "ledger.",
       obs::DefaultLatencyBucketsMs(), {{"path", "rebuild"}});
   m_publish_ms_ = registry_.GetHistogram(
@@ -291,11 +294,12 @@ RepairService::SlotAdvance RepairService::AdvanceSlot(
         std::make_unique<ShardedSnapshot>(graph_, num_shards_, ShardRunner());
     out.shards_rebuilt = num_shards_;
   } else {
-    // The patch-or-rebuild decision is PER SHARD inside
+    // The patch-or-fold decision is PER SHARD inside
     // ShardedSnapshot::Advance: clean shards are untouched, lightly dirty
-    // shards patch, and a shard past its own fraction rebuilds alone (~1/S
-    // of a whole-store rebuild), all fanned out over the pool. The whole
-    // advance counts as a patch only when no shard had to rebuild.
+    // shards patch, and a shard past its own fraction folds alone —
+    // compacted in place, or built afresh when its pending slice alone is
+    // too large to patch — all fanned out over the pool. The whole advance
+    // counts as a patch only when no shard folded.
     auto [records, count] = graph_.DeltaLogSince(slot->watermark);
     ShardedSnapshot::AdvanceStats adv = slot->store->Advance(
         graph_, records, count, options_.snapshot_rebuild_fraction,
@@ -542,9 +546,9 @@ Result<BatchResult> RepairService::Commit() {
     // snapshot, advanced to the current graph state by patching the
     // delta-log slice accumulated since the last acquisition — O(delta)
     // instead of the former per-commit O(|G|) rebuild (AcquireSnapshot
-    // falls back to a rebuild on the first batch and past the patch
-    // threshold). Tiny batches (and thread budget 1) read the live graph
-    // directly. Reads are bit-identical either way (tests/test_snapshot.cc,
+    // builds on the first batch and compacts past the patch threshold).
+    // Tiny batches (and thread budget 1) read the live graph directly.
+    // Reads are bit-identical either way (tests/test_snapshot.cc,
     // tests/test_snapshot_patch.cc).
     const GraphView* view = &graph_;
     // Frozen-view passes match through compiled plans (cached across
@@ -576,39 +580,43 @@ Result<BatchResult> RepairService::Commit() {
   // Cascade: drain greedily, re-detecting sequentially around each fix —
   // the same loop as RepairEngine::RunGreedy in dynamic mode, so a commit
   // is bit-identical to RunDelta over the same slice.
-  OBS_SPAN("commit.cascade");
-  Violation v;
-  for (;;) {
-    if (res.fixes >= options_.max_fixes_per_batch && !store_.Empty()) {
-      res.budget_exhausted = true;
-      break;
-    }
-    if (!store_.PopBest(&v)) break;
-    const Rule& rule = rules_[v.rule];
-    Matcher matcher(graph_, rule.pattern());
-    const Match* best = nullptr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const Match& alt : v.alternatives) {
-      if (!matcher.Verify(alt)) continue;
-      double c = FixCost(graph_, rule, alt, options_.cost_model, conf);
-      if (c < best_cost) {
-        best_cost = c;
-        best = &alt;
+  {
+    // Scoped to the loop: publication and checkpoint below are siblings,
+    // not children, of the cascade span.
+    OBS_SPAN("commit.cascade");
+    Violation v;
+    for (;;) {
+      if (res.fixes >= options_.max_fixes_per_batch && !store_.Empty()) {
+        res.budget_exhausted = true;
+        break;
       }
+      if (!store_.PopBest(&v)) break;
+      const Rule& rule = rules_[v.rule];
+      Matcher matcher(graph_, rule.pattern());
+      const Match* best = nullptr;
+      double best_cost = std::numeric_limits<double>::infinity();
+      for (const Match& alt : v.alternatives) {
+        if (!matcher.Verify(alt)) continue;
+        double c = FixCost(graph_, rule, alt, options_.cost_model, conf);
+        if (c < best_cost) {
+          best_cost = c;
+          best = &alt;
+        }
+      }
+      if (best == nullptr) continue;  // stale violation
+
+      size_t mark = graph_.JournalSize();
+      auto applied = ApplyFix(&graph_, v.rule, rule, *best);
+      if (!applied.ok()) continue;  // defensive: verified matches must apply
+      ++res.fixes;
+
+      std::vector<EditEntry> fix_delta(graph_.Journal().begin() + mark,
+                                       graph_.Journal().end());
+      size_t cascade_expansions = 0;
+      DetectDelta(graph_, rules_, fix_delta, &store_, options_.cost_model, conf,
+                  &cascade_expansions);
+      res.expansions += cascade_expansions;
     }
-    if (best == nullptr) continue;  // stale violation
-
-    size_t mark = graph_.JournalSize();
-    auto applied = ApplyFix(&graph_, v.rule, rule, *best);
-    if (!applied.ok()) continue;  // defensive: verified matches must apply
-    ++res.fixes;
-
-    std::vector<EditEntry> fix_delta(graph_.Journal().begin() + mark,
-                                     graph_.Journal().end());
-    size_t cascade_expansions = 0;
-    DetectDelta(graph_, rules_, fix_delta, &store_, options_.cost_model, conf,
-                &cascade_expansions);
-    res.expansions += cascade_expansions;
   }
 
   clean_mark_ = graph_.JournalSize();

@@ -12,7 +12,8 @@
 //      fanning-out seed pass reads the service's CACHED ShardedSnapshot,
 //      advanced to the current state by patching the graph's delta log —
 //      O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
-//      "Incremental maintenance"; rebuilt past snapshot_rebuild_fraction);
+//      "Incremental maintenance"; compacted in place past
+//      snapshot_rebuild_fraction);
 //   3. repair cascades drain the store greedily, exactly like
 //      RepairEngine::RunDelta: pop cheapest, re-verify, apply, re-detect
 //      sequentially around the fix (a cascade delta is O(1) anchors);
@@ -70,12 +71,14 @@ struct ServeOptions {
   /// violations in the store for the next commit to continue draining.
   size_t max_fixes_per_batch = 1'000'000;
   /// The snapshot store is advanced per batch from the graph's delta log
-  /// (O(delta)); a shard is rebuilt instead of patched once the records to
-  /// apply — its pending delta plus everything already patched into it —
-  /// exceed this fraction of the shard's edge count: per-record overlay
-  /// bookkeeping has a higher constant than the linear rebuild, and a
-  /// heavily patched shard carries overlay lookups on its read paths. A
-  /// hot shard rebuilds alone. 0 = rebuild every shard a batch touches.
+  /// (O(delta)); a shard folds its patch overlays back into flat arrays
+  /// (GraphSnapshot::Compact, in place) once the records to apply — its
+  /// pending delta plus everything already patched into it — exceed this
+  /// fraction of the shard's edge count: a heavily patched shard carries
+  /// overlay lookups on its read paths and overlay memory. A hot shard
+  /// folds alone. A pending delta that exceeds the fraction by itself is
+  /// not patched at all: that shard is built afresh from the graph. 0 =
+  /// rebuild every shard a batch touches.
   double snapshot_rebuild_fraction = 0.15;
   /// Storage shards of the snapshot store (ShardedSnapshot): 0 = one shard
   /// per pool thread (the default — build, patch and rebuild all align
@@ -200,11 +203,13 @@ struct ServiceStats {
   size_t snapshot_rebuilds = 0;
   double snapshot_patch_ms = 0.0;
   double snapshot_rebuild_ms = 0.0;
-  /// Per-shard ledger of the store: cumulative SHARDS patched / rebuilt
+  /// Per-shard ledger of the store: cumulative SHARDS patched / folded
   /// across all seed-pass acquisitions. A commit that patches 3 shards and
-  /// rebuilds the one hot shard adds 3 and 1 — the dirty-shard-only
-  /// economics the whole-store counters above cannot express (they count
-  /// the whole acquisition as one rebuild whenever any shard rebuilt).
+  /// folds the one hot shard adds 3 and 1 — the dirty-shard-only economics
+  /// the whole-store counters above cannot express (they count the whole
+  /// acquisition as one rebuild whenever any shard folded). A fold is an
+  /// in-place compaction, or a fresh build where compaction is not
+  /// possible; the "rebuild" names predate compaction.
   size_t shard_patches = 0;
   size_t shard_rebuilds = 0;
   /// Heap footprint of the publisher's snapshot slots (0 when none).
@@ -412,9 +417,9 @@ class RepairService {
   };
   /// Brings a publisher slot to the CURRENT graph state: patches its store
   /// forward by the delta-log slice since its watermark, or builds it when
-  /// it has none / the slice was trimmed away. The patch-or-rebuild
-  /// decision is PER SHARD (a shard past `snapshot_rebuild_fraction`
-  /// rebuilds alone, in parallel over the pool). Bumps plan_generation_ so
+  /// it has none / the slice was trimmed away. The patch-or-fold decision
+  /// is PER SHARD (a shard past `snapshot_rebuild_fraction` compacts alone,
+  /// in parallel over the pool). Bumps plan_generation_ so
   /// the seed-pass PlanCache revalidates.
   SlotAdvance AdvanceSlot(serve::Generation* slot);
   /// Hands out the read snapshot view for a fanning-out seed pass: the

@@ -135,7 +135,11 @@ Result<WalSegmentScan> ReadWalSegment(Fs* fs, const std::string& path) {
       uint64_t seq = ReadU64(payload);
       uint32_t sym_count = ReadU32(payload + 8);
       uint32_t rec_count = ReadU32(payload + 12);
-      if (seq != next_seq)
+      // A forward jump is kept: the batches past it are complete and
+      // CRC-valid, so PlanRecovery counts them as dropped after a seq gap
+      // — the same handling as a gap between segments — instead of
+      // truncating them as a torn tail. Backwards or duplicate seqs stop.
+      if (seq < next_seq)
         return stop(StrFormat("batch seq %llu where %llu expected",
                               (unsigned long long)seq,
                               (unsigned long long)next_seq));
@@ -150,7 +154,7 @@ Result<WalSegmentScan> ReadWalSegment(Fs* fs, const std::string& path) {
       pending_syms.clear();
       pending.clear();
       scan.batches.push_back(std::move(b));
-      ++next_seq;
+      next_seq = seq + 1;
       scan.valid_size = cursor + kFramePrefix + len;
     } else {
       return stop("unknown frame type at offset " + std::to_string(cursor));

@@ -83,9 +83,10 @@ struct WalSegmentScan {
 };
 
 /// Scans `path` frame by frame, stopping at the first torn/corrupt frame,
-/// an out-of-order batch seq, or a record-count mismatch. Only complete
-/// record+marker runs become batches. Fails only when the file cannot be
-/// READ at all (kIo/kNotFound).
+/// a backwards or duplicate batch seq, or a record-count mismatch. A
+/// forward seq jump is kept (recovery drops what follows a gap and counts
+/// it). Only complete record+marker runs become batches. Fails only when
+/// the file cannot be READ at all (kIo/kNotFound).
 Result<WalSegmentScan> ReadWalSegment(Fs* fs, const std::string& path);
 
 /// Append half of the log. Single-writer, owned by RepairService.

@@ -5,8 +5,8 @@
 // adjacency order, candidate collection, whole DetectAll violation streams
 // across shard counts {1,2,4,8} x thread counts {1,2,4,8} on all three
 // generator domains, and serving commits against a monolithic twin. Also
-// covers the dirty-shard-only Advance accounting and ServeOptions
-// validation.
+// covers the dirty-shard-only Advance accounting (patch, compact in place,
+// fresh build) and ServeOptions validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,6 +167,54 @@ TEST_P(ShardedSnapshotStress, SingleShardPassesThroughToLiveState) {
         << "seed " << GetParam() << " round " << round;
   }
   EXPECT_EQ(ShardedSnapshot(d.g, 2).AsSnapshot(), nullptr);
+}
+
+// The fold path: a tight fraction makes shards cross their budget every
+// few rounds, and Advance then patches and compacts them in place (or
+// builds afresh when a round's slice alone is over budget). Seeded streams
+// with undo rounds, relabels and attribute churn, the fraction redrawn at
+// random per round, S in {1, 2, 4}. After every compaction, and after
+// further patches on top of it, the store reads exactly like the live
+// graph and fresh builds; a compacted shard's ledger is reset and the
+// store is no larger than a patch-only twin at the same position.
+TEST_P(ShardedSnapshotStress, CompactedShardsAdvanceToLiveState) {
+  for (size_t shards : {1u, 2u, 4u}) {
+    StressDriver d(GetParam() * 16 + shards);
+    d.g.EnableDeltaLog();
+    for (int i = 0; i < 30; ++i) d.Step();
+
+    ShardedSnapshot ss(d.g, shards);
+    ShardedSnapshot patched_only(d.g, shards);
+    uint64_t watermark = d.g.DeltaLogEnd();
+    Rng schedule(GetParam() + 1000 * shards);
+    size_t compacted = 0;
+    for (int round = 0; round < 10; ++round) {
+      size_t mark = d.g.JournalSize();
+      for (int i = 0; i < 6; ++i) d.Step();
+      if (d.rng.NextBernoulli(0.5)) {
+        size_t back = mark + d.rng.NextBounded(d.g.JournalSize() - mark + 1);
+        ASSERT_TRUE(d.g.UndoTo(back).ok());
+      }
+      auto [records, count] = d.g.DeltaLogSince(watermark);
+      const double fraction = schedule.NextBernoulli(0.5) ? 0.1 : 0.3;
+      ShardedSnapshot::AdvanceStats st =
+          ss.Advance(d.g, records, count, fraction);
+      patched_only.Advance(d.g, records, count, /*rebuild_fraction=*/1e9);
+      watermark = d.g.DeltaLogEnd();
+      EXPECT_LE(st.shards_compacted, st.shards_rebuilt);
+      compacted += st.shards_compacted;
+      ASSERT_NO_FATAL_FAILURE(ExpectShardedEquivalent(d.g, ss))
+          << "seed " << GetParam() << " S=" << shards << " round " << round;
+      if (st.shards_compacted == 0) continue;
+      size_t reset = 0;
+      for (size_t s = 0; s < ss.NumShards(); ++s)
+        if (ss.shard(s).PatchedEdits() == 0) ++reset;
+      EXPECT_GE(reset, st.shards_compacted);
+      EXPECT_LE(ss.MemoryBytes(), patched_only.MemoryBytes())
+          << "S=" << shards << " round " << round;
+    }
+    EXPECT_GT(compacted, 0u) << "S=" << shards;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedSnapshotStress,

@@ -3,9 +3,11 @@
 // BOTH a fresh snapshot of the current graph and the live Graph itself —
 // accessors, tombstone reuse, undo-revived adjacency-tail order, seed
 // candidates, and whole DetectAll violation streams across thread counts
-// {1,2,4,8} on all three generator domains. Also covers the serving
-// integration: an incremental-snapshot RepairService commits bit-identically
-// to a rebuild-every-batch service while ServiceStats tells the two
+// {1,2,4,8} on all three generator domains. Read equivalence must also
+// hold after in-place compaction (GraphSnapshot::Compact) and after
+// patches on top of it. Also covers the serving integration: an
+// incremental-snapshot RepairService commits bit-identically to a
+// rebuild-every-batch service while ServiceStats tells the two
 // acquisition paths apart.
 #include <gtest/gtest.h>
 
@@ -92,6 +94,95 @@ TEST_P(SnapshotPatchStress, UndoRoundTripPatchesToSameContent) {
 
   PatchTo(d.g, &snap, watermark);
   ExpectPatchedEquivalent(d.g, snap);
+}
+
+// HasEdge over random (src, dst, label) triples, misses included: the
+// rebuilt sorted edge index must answer absent keys exactly like the live
+// graph, not only the keys of alive edges.
+void ExpectEdgeProbesAgree(StressDriver* d, const GraphSnapshot& snap) {
+  std::vector<NodeId> nodes = d->g.Nodes();
+  if (nodes.empty()) return;
+  std::vector<SymbolId> labels = d->elabels;
+  labels.push_back(0);  // the wildcard
+  for (int i = 0; i < 64; ++i) {
+    NodeId a = nodes[d->rng.PickIndex(nodes)];
+    NodeId b = nodes[d->rng.PickIndex(nodes)];
+    SymbolId l = labels[d->rng.PickIndex(labels)];
+    EXPECT_EQ(d->g.HasEdge(a, b, l), snap.HasEdge(a, b, l))
+        << a << "->" << b << " label " << l;
+  }
+}
+
+// Compaction folds the overlays back into flat arrays in place. Seeded
+// streams with undo rounds, relabels and attribute churn; Compact() at
+// random points. After every compaction — and after further patches on
+// top of it — the snapshot reads exactly like the live graph and a fresh
+// build, its patch ledger is reset, and its footprint did not grow.
+TEST_P(SnapshotPatchStress, CompactAtRandomPointsKeepsReadsIdentical) {
+  StressDriver d(GetParam() + 4242);
+  d.g.EnableDeltaLog();
+  for (int i = 0; i < 30; ++i) d.Step();
+
+  GraphSnapshot snap(d.g);
+  uint64_t watermark = d.g.DeltaLogEnd();
+  Rng schedule(GetParam());
+  for (int round = 0; round < 10; ++round) {
+    size_t mark = d.g.JournalSize();
+    for (int i = 0; i < 12; ++i) d.Step();
+    if (d.rng.NextBernoulli(0.5)) {
+      size_t back = mark + d.rng.NextBounded(d.g.JournalSize() - mark + 1);
+      ASSERT_TRUE(d.g.UndoTo(back).ok());
+    }
+    watermark = PatchTo(d.g, &snap, watermark);
+    ASSERT_NO_FATAL_FAILURE(ExpectPatchedEquivalent(d.g, snap))
+        << "seed " << GetParam() << " round " << round;
+    if (round == 9 || schedule.NextBernoulli(0.5)) {
+      const size_t before = snap.MemoryBytes();
+      snap.Compact();
+      EXPECT_EQ(snap.PatchedEdits(), 0u);
+      EXPECT_LE(snap.MemoryBytes(), before) << "round " << round;
+      ASSERT_NO_FATAL_FAILURE(ExpectPatchedEquivalent(d.g, snap))
+          << "seed " << GetParam() << " compacted at round " << round;
+      ExpectEdgeProbesAgree(&d, snap);
+    }
+  }
+}
+
+// Compacting a snapshot that saw no patch is a no-op; compacting one
+// whose only patch relabeled an edge (the frozen-base-key path) rekeys
+// the edge index under the current labels.
+TEST(SnapshotPatchTest, CompactAfterRelabelRekeysTheEdgeIndex) {
+  auto vocab = MakeVocabulary();
+  Graph g(vocab);
+  g.EnableDeltaLog();
+  SymbolId node = vocab->Label("N");
+  SymbolId l1 = vocab->Label("L1"), l3 = vocab->Label("L3"),
+           l5 = vocab->Label("L5");
+  NodeId s = g.AddNode(node), d = g.AddNode(node);
+  EdgeId e1 = g.AddEdge(s, d, l1).value();
+  ASSERT_TRUE(g.AddEdge(s, d, l3).ok());
+
+  GraphSnapshot snap(g);
+  uint64_t watermark = g.DeltaLogEnd();
+  const size_t clean = snap.MemoryBytes();
+  snap.Compact();
+  EXPECT_EQ(snap.MemoryBytes(), clean);
+
+  ASSERT_TRUE(g.SetEdgeLabel(e1, l5).ok());
+  watermark = PatchTo(g, &snap, watermark);
+  snap.Compact();
+  EXPECT_EQ(snap.PatchedEdits(), 0u);
+  EXPECT_TRUE(snap.HasEdge(s, d, l3));
+  EXPECT_TRUE(snap.HasEdge(s, d, l5));
+  EXPECT_FALSE(snap.HasEdge(s, d, l1));
+  ExpectPatchedEquivalent(g, snap);
+
+  // Patches land on the compacted base like on a fresh build.
+  ASSERT_TRUE(g.SetEdgeLabel(e1, l1).ok());
+  PatchTo(g, &snap, watermark);
+  EXPECT_TRUE(snap.HasEdge(s, d, l1));
+  EXPECT_FALSE(snap.HasEdge(s, d, l5));
+  ExpectPatchedEquivalent(g, snap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotPatchStress,

@@ -459,6 +459,49 @@ TEST(RecoveryPlanTest, SeqGapDropsEverythingAfterIt) {
   ASSERT_FALSE(plan.value().notes.empty());
 }
 
+// A forward jump INSIDE one segment is the same gap as one between
+// segments: the complete batches after it are kept on disk and counted as
+// dropped, not truncated as a torn tail.
+TEST(RecoveryPlanTest, SeqGapInsideASegmentDropsTheRest) {
+  MemFs fs;
+  ASSERT_TRUE(fs.CreateDir("d").ok());
+  {
+    auto w = WalWriter::Open(&fs, "d", 1, FsyncPolicy::kEveryCommit, 0);
+    ASSERT_TRUE(w.ok());
+    for (uint64_t seq : {1, 2, 4, 5})
+      ASSERT_TRUE(w.value()->AppendBatch(MakeBatch(seq), 0).ok());
+  }
+  auto plan = storage::PlanRecovery(&fs, "d");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.value().batches.size(), 2u);  // 1 and 2; never 4 and 5
+  EXPECT_EQ(plan.value().batches.back().seq, 2u);
+  EXPECT_EQ(plan.value().dropped_batches, 2u);
+  EXPECT_EQ(plan.value().truncated_bytes, 0u);
+  EXPECT_EQ(plan.value().next_seq, 3u);
+  bool gap_note = false;
+  for (const std::string& note : plan.value().notes)
+    gap_note = gap_note || note.find("seq gap") != std::string::npos;
+  EXPECT_TRUE(gap_note);
+}
+
+// A duplicate (or backwards) seq inside a segment still ends the scan
+// there: what follows it is tail, not a later batch.
+TEST(RecoveryPlanTest, DuplicateSeqInsideASegmentStopsTheScan) {
+  MemFs fs;
+  ASSERT_TRUE(fs.CreateDir("d").ok());
+  {
+    auto w = WalWriter::Open(&fs, "d", 1, FsyncPolicy::kEveryCommit, 0);
+    ASSERT_TRUE(w.ok());
+    for (uint64_t seq : {1, 2, 2, 3})
+      ASSERT_TRUE(w.value()->AppendBatch(MakeBatch(seq), 0).ok());
+  }
+  auto scan = storage::ReadWalSegment(&fs, "d/" + storage::WalSegmentName(1));
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan.value().batches.size(), 2u);
+  EXPECT_LT(scan.value().valid_size, scan.value().file_size);
+  EXPECT_NE(scan.value().note.find("expected"), std::string::npos);
+}
+
 TEST(RecoveryPlanTest, WalBehindTheCheckpointIsDataLoss) {
   MemFs fs;
   ASSERT_TRUE(fs.CreateDir("d").ok());
