@@ -404,8 +404,9 @@ BENCHMARK(BM_UndoJournal)->Unit(benchmark::kMicrosecond);
 
 // --- Compiled match plans --------------------------------------------------
 
-// One-time compilation cost of a full rule set's plans — what a detection
-// pass pays before matching (and what PlanCache amortizes across commits).
+// One-time compilation cost of a full rule set's plans — what every
+// detection pass, each serving commit's seed pass included, pays before
+// matching.
 void BM_PlanCompile(benchmark::State& state) {
   Workload w(static_cast<size_t>(state.range(0)));
   GraphSnapshot snap(w.graph);

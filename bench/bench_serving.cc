@@ -5,10 +5,11 @@
 // in tests/test_serve.cc), so the sweep measures pure wall-clock. Each row
 // is also emitted as a self-describing JSON line (see PrintBenchHeader).
 //
-// S2 — Snapshot acquisition: what the serving commit path pays to hand the
-// seed pass a read snapshot, per batch size AND shard count — advancing
-// the cached store by a delta-log Patch (O(delta)) vs building a fresh one
-// (O(V+E)). Rows report the delta fraction of |E| and the speedup; the
+// S2 — Snapshot acquisition: what publication pays to bring a snapshot
+// slot up to the committed state, per batch size AND shard count —
+// advancing the slot's store by a delta-log Patch (O(delta)) vs building a
+// fresh one (O(V+E)). The commit's seed pass reads the live graph and
+// builds nothing. Rows report the delta fraction of |E| and the speedup; the
 // acceptance bar is >=10x for deltas <= 1% of |E| at the largest scale.
 //
 // S2b — Dirty-shard rebuild: a batch of edits confined to ONE storage
@@ -97,7 +98,7 @@ std::vector<EditEntry> MakeBatch(Graph* scratch, Rng* rng, size_t n) {
                                 scratch->Journal().end());
 }
 
-// S2: the per-commit snapshot acquisition cost, patch vs rebuild, on a
+// S2: the per-publication snapshot acquisition cost, patch vs rebuild, on a
 // clean graph under batches of `batch_size` random edits, for a monolithic
 // (shards == 1) or sharded snapshot store. Each round applies a batch,
 // patches the cached store forward (timed; sharded stores route records to

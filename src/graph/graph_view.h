@@ -23,9 +23,8 @@ class GraphSnapshot;
 
 /// THE storage partition function of the read seam: node `n` of a view
 /// with `num_shards` storage shards lives in shard `n % num_shards`, and an
-/// edge lives in its src's shard. Shared by ShardedSnapshot and the
-/// detection fan-out so data placement and work placement cannot drift
-/// apart. Dense ids make the modulo an even hash partition.
+/// edge lives in its src's shard (ShardedSnapshot's placement). Dense ids
+/// make the modulo an even hash partition.
 inline size_t StorageShardOfNode(NodeId n, size_t num_shards) {
   return num_shards <= 1 ? 0 : n % num_shards;
 }
@@ -149,12 +148,6 @@ class GraphView {
   /// Non-null when this view IS an immutable GraphSnapshot, so the matcher
   /// can take the snapshot's direct-column fast paths.
   virtual const GraphSnapshot* AsSnapshot() const { return nullptr; }
-
-  /// Storage shards backing this view (1 = unsharded). When > 1, the view
-  /// hash-partitions its columns by StorageShardOfNode (edges follow their
-  /// src) and the parallel detectors align their fan-out units with that
-  /// partition so one task's reads stay within one shard's columns.
-  virtual size_t NumStorageShards() const { return 1; }
 };
 
 }  // namespace grepair

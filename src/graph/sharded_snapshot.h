@@ -11,10 +11,7 @@
 //     per-shard: a hot shard crosses its rebuild threshold and folds
 //     ALONE — compacted in place (GraphSnapshot::Compact), or built afresh
 //     from the source when the pending slice alone is too large to patch —
-//     while clean shards keep patching (Advance implements the policy);
-//   - DETECTION fan-out aligns with storage: NumStorageShards() exposes S
-//     and the parallel detectors partition their seed/anchor lists by the
-//     same function, so one task's reads stay within one shard's columns.
+//     while clean shards keep patching (Advance implements the policy).
 //
 // Reads route by id arithmetic: node reads to shard(n), edge reads through
 // a per-edge owner byte (the src's shard, O(1)); candidate collection and
@@ -144,7 +141,6 @@ class ShardedSnapshot final : public GraphView {
   size_t CountNodesWithLabel(SymbolId label) const override;
   size_t CountEdgesWithLabel(SymbolId label) const override;
 
-  size_t NumStorageShards() const override { return shards_.size(); }
   /// The single shard when S = 1 (it IS the whole store), so the matcher
   /// takes its zero-copy partition spans; null when sharded.
   const GraphSnapshot* AsSnapshot() const override {

@@ -34,12 +34,13 @@
 // fans out; during a pass the snapshot is frozen and shared read-only
 // across all workers (no synchronization needed).
 //
-// Only the serving layer builds snapshots: RepairService keeps one cached
-// (and patched) for its seed passes and publishes others to lock-free
-// readers, because its writer mutates the live graph while readers read.
-// Offline passes (DetectAll, the repair engine, mining) fan out over the
-// frozen live Graph instead — a build per pass costs more than the
-// snapshot's faster reads save. A caller already holding a snapshot passes
+// Only the serving layer builds snapshots, and only to publish them:
+// RepairService patches a double-buffered store forward at each commit and
+// hands it to lock-free readers, because its writer mutates the live graph
+// while readers read. Every detection pass — DetectAll, the repair engine,
+// mining and the serving commit's own seed pass — fans out over the frozen
+// live Graph instead: a build per pass costs more than the snapshot's
+// faster reads save. A caller already holding a snapshot passes
 // it to them as the view. Equivalence — including patched snapshots
 // against fresh builds and the live graph — is asserted by
 // tests/test_snapshot.cc and tests/test_snapshot_patch.cc. See DESIGN.md

@@ -333,7 +333,13 @@ size_t Matcher::PlannedCandidates(SearchState* st, const PlanStep& step,
           j.other_var == kNoVar ? j.constant
                                 : g_.NodeAttr(binding[j.other_var],
                                               j.other_attr);
-      if (value == 0) continue;  // absent attr: EQ can't hold anyway
+      // An absent bound-side value fails this join's EQ predicate for every
+      // candidate (absent never satisfies EQ), and that predicate is checked
+      // at this step, so no candidate can be accepted: skip the scan. The
+      // stream and expansion count are the interpreter's, which scans and
+      // rejects them all.
+      if (value == 0 && j.other_var != kNoVar) return 0;
+      if (value == 0) continue;
       *covered_pred = static_cast<int>(j.pred_index);
       if (snap_ != nullptr) {
         const IdSpan span = snap_->NodesWithAttrSorted(j.attr, value);

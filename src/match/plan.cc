@@ -12,14 +12,11 @@ namespace grepair {
 
 namespace {
 
-// Plan-layer instruments. Compiles and cache decisions are per-pass events
-// (not per-expansion), so they add straight into the global registry.
+// Plan-layer instruments. Compiles are per-pass events (not
+// per-expansion), so they add straight into the global registry.
 struct PlanMetrics {
   obs::Counter* compiles;
   obs::Counter* compile_us;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_revalidations;
 };
 
 PlanMetrics& Metrics() {
@@ -29,17 +26,18 @@ PlanMetrics& Metrics() {
         reg.GetCounter("grepair_plan_compiles_total",
                        "Match plans compiled (pattern x view)."),
         reg.GetCounter("grepair_plan_compile_us_total",
-                       "Microseconds spent compiling match plans."),
-        reg.GetCounter("grepair_plan_cache_hits_total",
-                       "Plan cache lookups served by the cached generation."),
-        reg.GetCounter("grepair_plan_cache_misses_total",
-                       "Plan cache lookups that compiled a fresh plan."),
-        reg.GetCounter(
-            "grepair_plan_cache_revalidations_total",
-            "Plan cache lookups that kept a prior-generation plan after "
-            "verifying its variable orders against the new snapshot.")};
+                       "Microseconds spent compiling match plans.")};
   }();
   return m;
+}
+
+uint64_t CardinalitySignature(const Pattern& p, const GraphView& g) {
+  uint64_t sig = 0;
+  for (VarId v = 0; v < p.NumNodes(); ++v) {
+    const SymbolId label = p.nodes()[v].label;
+    sig += label == 0 ? g.NumNodes() : g.CountNodesWithLabel(label);
+  }
+  return sig;
 }
 
 // The step list for one anchor shape: variable order from the shared
@@ -160,7 +158,7 @@ MatchPlan MatchPlan::Compile(const Pattern& pattern, const GraphView& g) {
   plan.bodies_.reserve(masks.size());
   for (uint32_t mask : masks)
     plan.bodies_.push_back(CompileBody(pattern, g, mask));
-  plan.signature_ = CardinalitySignatureFor(pattern, g);
+  plan.signature_ = CardinalitySignature(pattern, g);
   plan.usable_ = true;
 
   if (obs::MetricsEnabled()) {
@@ -181,29 +179,6 @@ const PlanBody* MatchPlan::BodyFor(uint32_t anchor_mask) const {
       [](const PlanBody& b, uint32_t mask) { return b.anchor_mask < mask; });
   if (it == bodies_.end() || it->anchor_mask != anchor_mask) return nullptr;
   return &*it;
-}
-
-bool MatchPlan::OrdersMatch(const GraphView& g) const {
-  if (!usable_) return false;
-  for (const PlanBody& body : bodies_) {
-    uint32_t bound = body.anchor_mask;
-    const auto is_bound = [&bound](VarId v) { return (bound >> v) & 1u; };
-    for (const PlanStep& step : body.steps) {
-      if (PickNextVarOrdered(g, *pattern_, is_bound) != step.var) return false;
-      bound |= 1u << step.var;
-    }
-  }
-  return true;
-}
-
-uint64_t MatchPlan::CardinalitySignatureFor(const Pattern& p,
-                                            const GraphView& g) {
-  uint64_t sig = 0;
-  for (VarId v = 0; v < p.NumNodes(); ++v) {
-    const SymbolId label = p.nodes()[v].label;
-    sig += label == 0 ? g.NumNodes() : g.CountNodesWithLabel(label);
-  }
-  return sig;
 }
 
 namespace {
@@ -340,75 +315,6 @@ std::vector<MatchPlan> CompilePlans(
   plans.reserve(patterns.size());
   for (const Pattern* p : patterns) plans.push_back(MatchPlan::Compile(*p, g));
   return plans;
-}
-
-const MatchPlan* PlanCache::Get(size_t rule_index, const Pattern& pattern,
-                                const GraphView& g, uint64_t generation) {
-  if (entries_.size() <= rule_index) entries_.resize(rule_index + 1);
-  if (entries_[rule_index] == nullptr)
-    entries_[rule_index] = std::make_unique<Entry>();
-  Entry& e = *entries_[rule_index];
-  const bool metrics = obs::MetricsEnabled();
-  if (e.valid && e.plan.pattern() == &pattern) {
-    if (e.generation == generation) {
-      ++stats_.hits;
-      if (metrics) Metrics().cache_hits->Add(1);
-      return &e.plan;
-    }
-    // New snapshot generation: if label cardinalities moved less than the
-    // recompile threshold AND the cheap order re-derivation confirms the
-    // cached orders, the cached plan is bit-identical to a fresh compile
-    // (step metadata depends only on pattern + order) — keep it.
-    const uint64_t old_sig = e.plan.CardinalitySignature();
-    const uint64_t new_sig = MatchPlan::CardinalitySignatureFor(pattern, g);
-    const uint64_t diff = new_sig > old_sig ? new_sig - old_sig
-                                            : old_sig - new_sig;
-    const bool small_shift =
-        static_cast<double>(diff) <=
-        static_cast<double>(old_sig) * shift_fraction_;
-    if (small_shift && e.plan.OrdersMatch(g)) {
-      e.generation = generation;
-      ++stats_.revalidations;
-      if (metrics) Metrics().cache_revalidations->Add(1);
-      return &e.plan;
-    }
-  }
-  e.plan = MatchPlan::Compile(pattern, g);
-  e.generation = generation;
-  e.valid = true;
-  ++stats_.recompiles;
-  if (metrics) Metrics().cache_misses->Add(1);
-  return &e.plan;
-}
-
-void PlanCache::Clear() { entries_.clear(); }
-
-std::shared_ptr<const std::vector<MatchPlan>> SharedPlanCache::Get(
-    uint64_t generation, const std::vector<const Pattern*>& patterns,
-    const GraphView& g) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : entries_)
-      if (e.generation == generation) return e.plans;
-  }
-  // Compile outside the lock: the view is frozen, so concurrent compiles
-  // for the same generation produce bit-identical plans and any one of
-  // them may be the one cached.
-  auto plans =
-      std::make_shared<const std::vector<MatchPlan>>(CompilePlans(patterns, g));
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_)
-    if (e.generation == generation) return e.plans;  // lost the race
-  entries_.push_back(Entry{generation, plans});
-  if (entries_.size() > max_generations_)
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + (entries_.size() - max_generations_));
-  return plans;
-}
-
-void SharedPlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 }  // namespace grepair

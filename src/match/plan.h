@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -186,24 +185,14 @@ class MatchPlan {
 
   bool usable() const { return usable_; }
 
-  /// True when recompiling against `g` would produce the same variable
-  /// orders — the cache's correctness check: orders are all that determine
-  /// the emission stream, so matching orders mean the cached plan is
-  /// bit-identical to a fresh compile.
-  bool OrdersMatch(const GraphView& g) const;
-
-  /// Sum of label cardinalities the ordering read at compile time — the
-  /// cheap drift signal PlanCache thresholds before re-deriving orders.
-  uint64_t CardinalitySignature() const { return signature_; }
-  static uint64_t CardinalitySignatureFor(const Pattern& p,
-                                          const GraphView& g);
-
   /// Human-readable dump (the `explain_plan` CLI subcommand).
   std::string Explain(const Vocabulary& vocab) const;
 
  private:
   const Pattern* pattern_ = nullptr;
   bool usable_ = false;
+  /// Sum of the label cardinalities the ordering read at compile time
+  /// (printed by Explain).
   uint64_t signature_ = 0;
   std::vector<PlanBody> bodies_;  ///< sorted by anchor_mask
 };
@@ -256,82 +245,6 @@ class ScratchLease {
 /// view. Index-aligned with the pattern list.
 std::vector<MatchPlan> CompilePlans(
     const std::vector<const Pattern*>& patterns, const GraphView& g);
-
-/// Per-rule plan cache for the serving commit path, keyed on (rule index,
-/// snapshot generation). Revalidation policy: a generation bump with label
-/// cardinalities within `recompile_shift_fraction` of the compiled ones
-/// re-derives only the variable orders and keeps the step metadata when
-/// they match; a larger shift — or any order drift — recompiles. Either
-/// way the plan handed out is bit-identical to a fresh compile against the
-/// current view. Single-writer (the commit thread); not thread-safe.
-class PlanCache {
- public:
-  explicit PlanCache(double recompile_shift_fraction = 0.25)
-      : shift_fraction_(recompile_shift_fraction) {}
-
-  /// The plan for rule `rule_index` against `g` at `generation`. Never
-  /// null; the result stays valid until the next Get for the same index or
-  /// Clear().
-  const MatchPlan* Get(size_t rule_index, const Pattern& pattern,
-                       const GraphView& g, uint64_t generation);
-
-  /// Drops every entry (the backing store was replaced, e.g. restore).
-  void Clear();
-
-  struct CacheStats {
-    uint64_t hits = 0;           ///< same generation, plan reused as-is
-    uint64_t revalidations = 0;  ///< new generation, orders verified, kept
-    uint64_t recompiles = 0;     ///< compiled (first use or drift)
-  };
-  const CacheStats& cache_stats() const { return stats_; }
-
- private:
-  struct Entry {
-    MatchPlan plan;
-    uint64_t generation = 0;
-    bool valid = false;
-  };
-  double shift_fraction_;
-  // unique_ptr slots: growing the vector for a new rule index must not
-  // move the MatchPlan objects other slots' callers already hold pointers
-  // to (Get for rule 0 stays valid while Get(1) grows the table).
-  std::vector<std::unique_ptr<Entry>> entries_;
-  CacheStats stats_;
-};
-
-/// Thread-safe plan cache for the published read path: one immutable plan
-/// vector (index-aligned with the rule list) per PUBLISHED generation,
-/// shared across concurrent readers. Unlike PlanCache there is no
-/// revalidation — a published generation's view is frozen, so its plans
-/// are compiled exactly once and reused verbatim; old generations age out
-/// (small LRU) as publication advances past them. Compilation runs outside
-/// the lock; when two readers race on a fresh generation the first insert
-/// wins and the loser's compile is discarded (both are bit-identical by
-/// the determinism contract, so either is correct).
-class SharedPlanCache {
- public:
-  explicit SharedPlanCache(size_t max_generations = 4)
-      : max_generations_(max_generations) {}
-
-  /// Plans for `generation`'s frozen view `g`, compiling on first use.
-  /// The returned vector is immutable and outlives cache eviction for as
-  /// long as the caller holds the shared_ptr.
-  std::shared_ptr<const std::vector<MatchPlan>> Get(
-      uint64_t generation, const std::vector<const Pattern*>& patterns,
-      const GraphView& g);
-
-  /// Drops every entry (restore replaced the store lineage).
-  void Clear();
-
- private:
-  size_t max_generations_;
-  mutable std::mutex mu_;
-  struct Entry {
-    uint64_t generation = 0;
-    std::shared_ptr<const std::vector<MatchPlan>> plans;
-  };
-  std::vector<Entry> entries_;  ///< insertion order, oldest first
-};
 
 }  // namespace grepair
 

@@ -2,25 +2,20 @@
 // an edit batch across a ThreadPool, with bit-identical output to the
 // sequential per-rule FindDelta loop regardless of thread count.
 //
-// Fan-out unit is (rule × anchor-shard): the anchor lists a delta induces
+// Fan-out unit is (rule × anchor-slice): the anchor lists a delta induces
 // (DeltaMatcher::ComputeAnchors — pattern-independent, so computed once per
-// batch) are split into slices, and each (rule, edge-slice) /
+// batch) are split into contiguous blocks, and each (rule, edge-slice) /
 // (rule, node-slice) pair is an independent task running the raw anchored
-// searches of DeltaMatcher::MatchEdgeAnchors / MatchNodeAnchors. Over an
-// unsharded view the slices are contiguous blocks; over a sharded store
-// (GraphView::NumStorageShards() > 1, e.g. ShardedSnapshot) slicing is
-// STORAGE-ALIGNED — one slice per storage shard holding exactly the
-// anchors that shard owns (an edge anchor belongs to its src's shard), so
-// a task's anchored reads stay within one shard's columns.
+// searches of DeltaMatcher::MatchEdgeAnchors / MatchNodeAnchors. The
+// serving commit runs it over the live Graph, frozen for the pass.
 //
 // Determinism: the sequential FindDelta visits anchor edges in ascending-id
 // order, then anchor nodes, each anchored search with its OWN expansion
 // budget, deduplicating by match footprint as it goes. Workers collect raw
-// (pre-dedup) matches; the calling thread merges task outputs back into
-// that exact visit order — block slices by concatenation, storage-aligned
-// slices by a per-anchor-count interleave — and applies the same per-rule
-// footprint dedup, so the surviving emission stream — and every stat —
-// equals the sequential run for any shard x thread combination.
+// (pre-dedup) matches; the calling thread concatenates task outputs back
+// into that exact visit order and applies the same per-rule footprint
+// dedup, so the surviving emission stream — and every stat — equals the
+// sequential run for any thread count.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
 // and vocabulary must not be mutated while Detect runs.
@@ -81,9 +76,8 @@ class ParallelDeltaDetector {
                     const MatchPlan* const* plans = nullptr) const;
 
   /// True when a delta with `num_anchors` anchors would fan out over the
-  /// pool (rather than run the sequential loop on the calling thread).
-  /// Exposed so callers deciding whether to build a read snapshot for the
-  /// pass use the exact gate Detect applies.
+  /// pool (rather than run the sequential loop on the calling thread) —
+  /// the exact gate Detect applies, exposed so callers can count fan-outs.
   bool WouldFanOut(size_t num_anchors) const {
     return pool_ != nullptr && pool_->NumThreads() > 1 &&
            num_anchors >= options_.shard_min_anchors;

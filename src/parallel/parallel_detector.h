@@ -5,20 +5,15 @@
 // Two levels of fan-out:
 //   (a) rule-level — each rule's full-graph match is an independent task;
 //   (b) shard-level — a rule whose seed-candidate set is large is split
-//       into per-seed anchored searches. Over an UNSHARDED view the split
-//       is contiguous ranges of Matcher::SeedCandidates(); over a sharded
-//       store (GraphView::NumStorageShards() > 1, e.g. ShardedSnapshot)
-//       the split is STORAGE-ALIGNED: one task per storage shard holding
-//       exactly the seeds that shard owns, so a task's reads stay within
-//       one shard's columns.
+//       into per-seed anchored searches over contiguous ranges of
+//       Matcher::SeedCandidates().
 //
 // Determinism: the sequential matcher explores seeds in ascending-id order
-// and each seed's subtree deterministically. Block shards concatenate in
-// (rule id, shard index) order; storage-aligned shards record per-seed
-// match counts and are interleaved back into global ascending-seed order.
-// Both reproduce the exact sequential emission stream for any shard x
-// thread combination. Workers only read the graph; emission happens on the
-// calling thread after all tasks complete.
+// and each seed's subtree deterministically, so concatenating task outputs
+// in (rule id, shard index) order reproduces the exact sequential emission
+// stream for any thread count — over any GraphView, the live Graph and a
+// sharded snapshot alike. Workers only read the view; emission happens on
+// the calling thread after all tasks complete.
 //
 // Concurrency contract (DESIGN.md "Threading model"): the graph, rule set
 // and vocabulary must not be mutated while Detect runs. Matching never

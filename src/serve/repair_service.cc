@@ -12,6 +12,7 @@
 
 #include "graph/graph_io.h"
 #include "match/incremental.h"
+#include "match/plan.h"
 #include "obs/trace.h"
 #include "repair/fix.h"
 #include "storage/checkpoint.h"
@@ -125,7 +126,7 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       "Matcher expansions spent on detection and cascades.");
   m_snapshot_batches_ = registry_.GetCounter(
       "grepair_snapshot_batches_total",
-      "Commits whose seed pass read a snapshot instead of the live graph.");
+      "Commits whose seed pass fanned out over the pool.");
   m_shard_patches_ = registry_.GetCounter(
       "grepair_shard_patches_total",
       "Store shards advanced by an O(delta) patch.");
@@ -190,19 +191,19 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       obs::DefaultLatencyBucketsMs());
   m_detect_ms_ = registry_.GetHistogram(
       "grepair_serve_detect_ms",
-      "Seed detection latency (snapshot acquisition included).",
+      "Seed detection latency (plan compile included).",
       obs::DefaultLatencyBucketsMs());
   m_acquire_patch_ms_ = registry_.GetHistogram(
       "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path (rebuild = any shard folded: "
-      "compacted in place or built afresh); counts are the patch/rebuild "
-      "ledger.",
+      "Publication slot-advance latency by path (rebuild = any shard "
+      "folded: compacted in place or built afresh); counts are the "
+      "patch/rebuild ledger.",
       obs::DefaultLatencyBucketsMs(), {{"path", "patch"}});
   m_acquire_rebuild_ms_ = registry_.GetHistogram(
       "grepair_snapshot_acquire_ms",
-      "Snapshot acquisition latency by path (rebuild = any shard folded: "
-      "compacted in place or built afresh); counts are the patch/rebuild "
-      "ledger.",
+      "Publication slot-advance latency by path (rebuild = any shard "
+      "folded: compacted in place or built afresh); counts are the "
+      "patch/rebuild ledger.",
       obs::DefaultLatencyBucketsMs(), {{"path", "rebuild"}});
   m_publish_ms_ = registry_.GetHistogram(
       "grepair_serve_publish_ms",
@@ -215,7 +216,7 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
       obs::DefaultLatencyBucketsMs());
   if (options_.num_threads != 1)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  // A sequential service has no shard tasks to align storage with and keeps
+  // A sequential service has no pool to fan shard work out over and keeps
   // one shard.
   if (pool_ != nullptr) {
     num_shards_ = options_.num_shards == 0 ? pool_->NumThreads()
@@ -226,9 +227,8 @@ RepairService::RepairService(Graph graph, RuleSet rules, ServeOptions options)
   // the delta log in O(delta).
   graph_.EnableDeltaLog();
   // Eager first publication: readers can pin the constructed state before
-  // any batch commits (the FIRST seed acquisition still finds an empty slot
-  // and builds it; this construction build counts only in the publication
-  // instruments).
+  // any batch commits (the first commit's publication still finds the
+  // other slot empty and builds it).
   PublishGeneration(0);
 }
 
@@ -270,30 +270,19 @@ ParallelRunner RepairService::ShardRunner() const {
   };
 }
 
-RepairService::SlotAdvance RepairService::AdvanceSlot(
-    serve::Generation* slot) {
+void RepairService::AdvanceSlot(serve::Generation* slot) {
   obs::Stopwatch t;
-  SlotAdvance out;
+  bool patched = true;
   const uint64_t log_end = graph_.DeltaLogEnd();
-  // Already current (typical for the publication advance of a cascade-free
-  // commit right after its own seed advance): nothing to patch, and the
-  // plans compiled against it still hold.
-  if (slot->has_store() && slot->watermark == log_end &&
-      slot->watermark >= graph_.DeltaLogBegin()) {
-    out.patched = true;
-    out.ms = t.ElapsedMs();
-    return out;
-  }
-  // The slot's contents change, so cached match plans must revalidate
-  // their variable orders against the new cardinalities.
-  ++plan_generation_;
   // A slot with no store, or whose pending slice is no longer in the delta
-  // log, is built afresh.
+  // log, is built afresh. One already current (nothing committed since its
+  // last advance) is left as is and counts as a patch.
   if (!slot->has_store() || slot->watermark < graph_.DeltaLogBegin()) {
     slot->store =
         std::make_unique<ShardedSnapshot>(graph_, num_shards_, ShardRunner());
-    out.shards_rebuilt = num_shards_;
-  } else {
+    m_shard_rebuilds_->Add(num_shards_);
+    patched = false;
+  } else if (slot->watermark != log_end) {
     // The patch-or-fold decision is PER SHARD inside
     // ShardedSnapshot::Advance: clean shards are untouched, lightly dirty
     // shards patch, and a shard past its own fraction folds alone —
@@ -304,37 +293,19 @@ RepairService::SlotAdvance RepairService::AdvanceSlot(
     ShardedSnapshot::AdvanceStats adv = slot->store->Advance(
         graph_, records, count, options_.snapshot_rebuild_fraction,
         ShardRunner());
-    out.shards_patched = adv.shards_patched;
-    out.shards_rebuilt = adv.shards_rebuilt;
-    out.patched = adv.shards_rebuilt == 0;
+    m_shard_patches_->Add(adv.shards_patched);
+    m_shard_rebuilds_->Add(adv.shards_rebuilt);
+    patched = adv.shards_rebuilt == 0;
   }
   slot->watermark = log_end;
-  out.ms = t.ElapsedMs();
-  return out;
-}
-
-const GraphView& RepairService::AcquireSnapshot(BatchResult* res) {
-  OBS_SPAN("commit.snapshot");
-  serve::Generation* slot = publisher_.Writable();
-  SlotAdvance adv = AdvanceSlot(slot);
-  m_shard_patches_->Add(adv.shards_patched);
-  m_shard_rebuilds_->Add(adv.shards_rebuilt);
-  if (adv.patched) {
-    res->snapshot_patched = true;
-    m_acquire_patch_ms_->Observe(adv.ms);
-  } else {
-    m_acquire_rebuild_ms_->Observe(adv.ms);
-  }
-  res->snapshot_ms = adv.ms;
-  TrimConsumedDeltaLog();
-  return *slot->store;
+  (patched ? m_acquire_patch_ms_ : m_acquire_rebuild_ms_)
+      ->Observe(t.ElapsedMs());
 }
 
 void RepairService::PublishGeneration(uint64_t batch) {
   OBS_SPAN("commit.publish");
   obs::Stopwatch t;
-  serve::Generation* slot = publisher_.Writable();
-  AdvanceSlot(slot);  // bring it past the cascade fixes (publish-side cost)
+  AdvanceSlot(publisher_.Writable());
   std::vector<Violation> backlog = store_.Snapshot();
   SortBacklog(&backlog);
   publisher_.Publish(batch, std::move(backlog));
@@ -400,10 +371,9 @@ const ServiceStats& RepairService::stats() const {
   s.published_reads = m_published_reads_->Value();
   s.stale_reads = m_stale_reads_->Value();
   // Lazily priced: MemoryBytes walks every attribute map, which must not
-  // ride the per-commit hot path AcquireSnapshot just took off it. Rolls
-  // up across the publisher's slots (and their shards when the store is
-  // sharded). The gauge keeps the Prometheus exposition in step with the
-  // view.
+  // ride the per-commit hot path. Rolls up across the publisher's slots
+  // (and their shards when the store is sharded). The gauge keeps the
+  // Prometheus exposition in step with the view.
   s.snapshot_memory_bytes = publisher_.MemoryBytes();
   m_snapshot_mem_->Set(static_cast<int64_t>(s.snapshot_memory_bytes));
   return s;
@@ -531,9 +501,12 @@ Result<BatchResult> RepairService::Commit() {
     res.anchor_edges = anchors.edges.size();
   }
 
-  // Seed: batched parallel delta-detection. The detector falls back to the
-  // sequential per-rule FindDelta loop for tiny deltas or a 1-thread budget;
-  // either way the store receives the exact RunDelta seeding.
+  // Seed: batched parallel delta-detection over the live graph, which
+  // nothing mutates until the cascade below. Plans compile per commit
+  // (microseconds for a whole rule set) against the state they will match,
+  // so no cache has to track it. The detector falls back to the sequential
+  // per-rule FindDelta loop for tiny deltas or a 1-thread budget; either
+  // way the store receives the exact RunDelta seeding.
   const size_t backlog = store_.Size();  // budget-cut leftovers, if any
   {
     OBS_SPAN("commit.detect");
@@ -542,35 +515,24 @@ Result<BatchResult> RepairService::Commit() {
     popt.shard_min_anchors = options_.shard_min_anchors;
     popt.max_shards_per_rule = options_.max_shards_per_rule;
     ParallelDeltaDetector detector(pool_.get(), popt);
-    // When the batch fans out, the seed pass reads the service's CACHED
-    // snapshot, advanced to the current graph state by patching the
-    // delta-log slice accumulated since the last acquisition — O(delta)
-    // instead of the former per-commit O(|G|) rebuild (AcquireSnapshot
-    // builds on the first batch and compacts past the patch threshold).
-    // Tiny batches (and thread budget 1) read the live graph directly.
-    // Reads are bit-identical either way (tests/test_snapshot.cc,
-    // tests/test_snapshot_patch.cc).
-    const GraphView* view = &graph_;
-    // Frozen-view passes match through compiled plans (cached across
-    // commits, revalidated per snapshot generation); the live-graph path
-    // stays on the interpreter — both streams are bit-identical.
-    std::vector<const MatchPlan*> plans;
-    if (detector.WouldFanOut(anchors.nodes.size() + anchors.edges.size())) {
-      view = &AcquireSnapshot(&res);
-      res.snapshot_reads = true;
-      m_snapshot_batches_->Add(1);
-      plans.reserve(rules_.size());
-      for (RuleId r = 0; r < rules_.size(); ++r)
-        plans.push_back(
-            plan_cache_.Get(r, rules_[r].pattern(), *view, plan_generation_));
-    }
+    res.fanned_out =
+        detector.WouldFanOut(anchors.nodes.size() + anchors.edges.size());
+    if (res.fanned_out) m_snapshot_batches_->Add(1);
+    std::vector<const Pattern*> patterns;
+    patterns.reserve(rules_.size());
+    for (RuleId r = 0; r < rules_.size(); ++r)
+      patterns.push_back(&rules_[r].pattern());
+    const std::vector<MatchPlan> plans = CompilePlans(patterns, graph_);
+    std::vector<const MatchPlan*> plan_ptrs;
+    plan_ptrs.reserve(plans.size());
+    for (const MatchPlan& p : plans) plan_ptrs.push_back(&p);
     MatchStats st = detector.Detect(
-        *view, rules_, anchors,
+        graph_, rules_, anchors,
         [&](RuleId r, const Match& m) {
           store_.Add(r, m,
-                     FixCost(*view, rules_[r], m, options_.cost_model, conf));
+                     FixCost(graph_, rules_[r], m, options_.cost_model, conf));
         },
-        plans.empty() ? nullptr : plans.data());
+        plan_ptrs.data());
     res.expansions += st.expansions;
     res.detect_ms = t.ElapsedMs();
     m_detect_ms_->Observe(res.detect_ms);
@@ -893,8 +855,6 @@ Status RepairService::LoadServiceState(const std::string& text,
   graph_ = std::move(restored);
   graph_.EnableDeltaLog();
   publisher_.BeginNewEpoch();
-  plan_cache_.Clear();
-  read_plans_.Clear();
   clean_mark_ = 0;
   store_.Clear();
   for (const PendingViolation& pv : backlog)
@@ -1133,14 +1093,6 @@ Result<PublishedDetect> RepairService::DetectPublished(
   serve::ReadLease lease = publisher_.Pin();
   obs::Stopwatch t;
   const GraphView& view = lease.view();
-  std::vector<const Pattern*> patterns;
-  patterns.reserve(rules_.size());
-  for (RuleId r = 0; r < rules_.size(); ++r)
-    patterns.push_back(&rules_[r].pattern());
-  // Plans compiled ONCE per published generation (against its frozen
-  // view), shared by every reader of that generation.
-  std::shared_ptr<const std::vector<MatchPlan>> plans =
-      read_plans_.Get(lease->generation, patterns, view);
   // Mirror the offline `grepair detect` pass exactly — matches folded into
   // violations by a local store, default cost model, no confidence
   // weighting (the DetectAll contract) — so the verb's counts are
@@ -1151,7 +1103,9 @@ Result<PublishedDetect> RepairService::DetectPublished(
   out.batch = lease->batch;
   for (RuleId r = 0; r < rules_.size(); ++r) {
     if (!rule_filter.empty() && rules_[r].name() != rule_filter) continue;
-    Matcher matcher(view, rules_[r].pattern(), &(*plans)[r]);
+    // Compiled against the pinned (frozen) view, for this read only.
+    const MatchPlan plan = MatchPlan::Compile(rules_[r].pattern(), view);
+    Matcher matcher(view, rules_[r].pattern(), &plan);
     MatchOptions opts;
     MatchStats st = matcher.FindAll(opts, [&](const Match& m) {
       folded.Add(r, m, FixCost(view, rules_[r], m, CostModel{}, 0));

@@ -8,25 +8,28 @@
 //   2. Commit() takes the journal slice since the last commit as the delta
 //      and seeds the violation store with batched PARALLEL delta-detection
 //      (parallel::ParallelDeltaDetector over the service pool — bit-identical
-//      to the sequential RunDelta seeding for any thread count). A
-//      fanning-out seed pass reads the service's CACHED ShardedSnapshot,
-//      advanced to the current state by patching the graph's delta log —
-//      O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
-//      "Incremental maintenance"; compacted in place past
-//      snapshot_rebuild_fraction);
+//      to the sequential RunDelta seeding for any thread count). The seed
+//      pass reads the live graph, frozen for the pass, through match plans
+//      compiled against it for this commit; the detector alone decides
+//      whether the batch fans out;
 //   3. repair cascades drain the store greedily, exactly like
 //      RepairEngine::RunDelta: pop cheapest, re-verify, apply, re-detect
 //      sequentially around the fix (a cascade delta is O(1) anchors);
-//   4. the batch is published: the same cached store, advanced past the
-//      cascade fixes, becomes the generation lock-free readers pin.
+//   4. the batch is published: the writable ShardedSnapshot slot is
+//      advanced to the post-cascade state by patching the graph's delta log
+//      — O(delta) per commit instead of an O(V+E) rebuild (DESIGN.md
+//      "Incremental maintenance"; compacted in place past
+//      snapshot_rebuild_fraction) — and becomes the generation lock-free
+//      readers pin. Publication is the only step that touches snapshots.
 //
 // Threading contract: all mutation happens on the caller's thread; worker
-// threads only read the frozen graph during step 2 (DESIGN.md "Threading
-// model"). The service is single-writer — callers serialize access — with
-// ONE carve-out: the published read path (DetectPublished / ReadViolations
-// / PinPublished) is safe from any thread concurrently with the writer; it
-// runs against immutable epoch-published snapshot generations
-// (serve::SnapshotPublisher) and never touches the mutable service state.
+// threads only read the frozen graph during step 2 and build or patch
+// store shards during step 4 (DESIGN.md "Threading model"). The service is
+// single-writer — callers serialize access — with ONE carve-out: the
+// published read path (DetectPublished / ReadViolations / PinPublished) is
+// safe from any thread concurrently with the writer; it runs against
+// immutable epoch-published snapshot generations (serve::SnapshotPublisher)
+// and never touches the mutable service state.
 #ifndef GREPAIR_SERVE_REPAIR_SERVICE_H_
 #define GREPAIR_SERVE_REPAIR_SERVICE_H_
 
@@ -41,7 +44,6 @@
 #include "graph/sharded_snapshot.h"
 #include "serve/publisher.h"
 #include "grr/rule.h"
-#include "match/plan.h"
 #include "obs/metrics.h"
 #include "parallel/delta_detector.h"
 #include "parallel/thread_pool.h"
@@ -81,8 +83,8 @@ struct ServeOptions {
   /// rebuild every shard a batch touches.
   double snapshot_rebuild_fraction = 0.15;
   /// Storage shards of the snapshot store (ShardedSnapshot): 0 = one shard
-  /// per pool thread (the default — build, patch and rebuild all align
-  /// with the detection fan-out), 1 = a single shard, capped at
+  /// per pool thread (the default — shard builds, patches and folds fan
+  /// out one per pool task), 1 = a single shard, capped at
   /// ShardedSnapshot::kMaxShards. A sequential (1-thread) service keeps a
   /// single shard. Results are bit-identical across shard counts; only
   /// wall-clock changes.
@@ -149,15 +151,9 @@ struct BatchResult {
   size_t violations = 0;
   size_t fixes = 0;  ///< cascade fixes applied
   size_t expansions = 0;    ///< matcher expansions (detection + cascades)
-  /// True when seed detection fanned out over the pool and therefore read
-  /// from the snapshot store instead of the live graph (see DESIGN.md
-  /// "Storage model").
-  bool snapshot_reads = false;
-  /// Among snapshot-read batches: true when the cached snapshot was
-  /// advanced by an O(delta) patch, false when it was (re)built O(V+E).
-  bool snapshot_patched = false;
-  /// Snapshot acquisition time (patch or rebuild), included in detect_ms.
-  double snapshot_ms = 0.0;
+  /// True when seed detection fanned out over the pool (both paths read
+  /// the live graph and emit the same stream).
+  bool fanned_out = false;
   bool budget_exhausted = false;
   double detect_ms = 0.0;  ///< seed detection time
   double total_ms = 0.0;   ///< whole commit (detection + cascades)
@@ -195,16 +191,17 @@ struct ServiceStats {
   size_t violations_repaired = 0;
   size_t anchors_visited = 0;  ///< node + edge anchors over all batches
   size_t expansions = 0;
-  size_t snapshot_batches = 0;  ///< commits whose seed pass read a snapshot
-  /// Snapshot-read batches split by acquisition path (patches + rebuilds
-  /// == snapshot_batches), with cumulative acquisition wall-clock per path
-  /// — the O(delta)-vs-O(V+E) ledger of the serving commit path.
+  size_t snapshot_batches = 0;  ///< commits whose seed pass fanned out
+  /// Publication slot advances split by path (patches + rebuilds ==
+  /// publishes: every publication, the constructor's and a restore's
+  /// included, advances one slot), with cumulative advance wall-clock per
+  /// path — the O(delta)-vs-O(V+E) ledger of the snapshot store.
   size_t snapshot_patches = 0;
   size_t snapshot_rebuilds = 0;
   double snapshot_patch_ms = 0.0;
   double snapshot_rebuild_ms = 0.0;
   /// Per-shard ledger of the store: cumulative SHARDS patched / folded
-  /// across all seed-pass acquisitions. A commit that patches 3 shards and
+  /// across all publication advances. An advance that patches 3 shards and
   /// folds the one hot shard adds 3 and 1 — the dirty-shard-only economics
   /// the whole-store counters above cannot express (they count the whole
   /// acquisition as one rebuild whenever any shard folded). A fold is an
@@ -362,7 +359,8 @@ class RepairService {
   /// filter.
 
   /// Full (or rule-filtered, `rule_filter` non-empty) detection over the
-  /// published generation with generation-cached compiled plans.
+  /// published generation, through plans compiled against the pinned view
+  /// for the rules the read runs.
   Result<PublishedDetect> DetectPublished(const std::string& rule_filter) const;
 
   /// One page of the published violation backlog.
@@ -406,32 +404,17 @@ class RepairService {
 
  private:
   SymbolId ConfAttr() const;
-  /// How one publisher-slot advancement went (AdvanceSlot): the caller
-  /// attributes the numbers to the seed-pass instruments or the
-  /// publication instruments depending on which path asked.
-  struct SlotAdvance {
-    bool patched = false;      ///< O(delta) patch (vs (re)build)
-    size_t shards_patched = 0; ///< per-shard ledger
-    size_t shards_rebuilt = 0;
-    double ms = 0.0;
-  };
   /// Brings a publisher slot to the CURRENT graph state: patches its store
   /// forward by the delta-log slice since its watermark, or builds it when
   /// it has none / the slice was trimmed away. The patch-or-fold decision
   /// is PER SHARD (a shard past `snapshot_rebuild_fraction` compacts alone,
-  /// in parallel over the pool). Bumps plan_generation_ so
-  /// the seed-pass PlanCache revalidates.
-  SlotAdvance AdvanceSlot(serve::Generation* slot);
-  /// Hands out the read snapshot view for a fanning-out seed pass: the
-  /// publisher's writable slot advanced to the current graph (the SAME
-  /// slot Commit later advances past the cascades and publishes — the seed
-  /// pass is the expensive half of preparing the next generation). Updates
-  /// the patch/rebuild counters and trims the consumed delta log.
-  const GraphView& AcquireSnapshot(BatchResult* res);
+  /// in parallel over the pool). Records the advance in the snapshot and
+  /// shard ledgers.
+  void AdvanceSlot(serve::Generation* slot);
   /// Publishes the writable slot as the next generation at committed batch
-  /// `batch`: advances it past any remaining delta (cascade fixes), copies
-  /// the backlog in SaveState order, flips the published pointer, trims
-  /// the consumed delta log.
+  /// `batch`: advances it to the current graph (the batch's edits and
+  /// cascade fixes), copies the backlog in SaveState order, flips the
+  /// published pointer, trims the consumed delta log.
   void PublishGeneration(uint64_t batch);
   /// Trims the delta log to the oldest watermark of a current-epoch slot;
   /// publication advances a slot every commit, so the log holds at most
@@ -472,22 +455,9 @@ class RepairService {
   size_t num_shards_ = 1;  ///< resolved ServeOptions::num_shards
   size_t clean_mark_ = 0;  ///< journal position of the last commit
   /// The double-buffered snapshot slots (num_shards_ shards each) and the
-  /// atomic publication point readers pin generations from. The writable
-  /// slot doubles as the seed-pass read cache: AcquireSnapshot advances it,
-  /// Commit publishes it.
+  /// atomic publication point readers pin generations from. Only
+  /// PublishGeneration advances a slot.
   serve::SnapshotPublisher publisher_;
-  /// Compiled match plans for the fanning-out seed pass, keyed by rule
-  /// index and revalidated against the acquired slot's generation: each
-  /// AdvanceSlot bumps plan_generation_, and PlanCache::Get then keeps
-  /// a plan whose variable orders still hold under the new label
-  /// cardinalities, recompiling only past the drift threshold. The cascade
-  /// loop matches the LIVE mutating graph and stays on the interpreter.
-  PlanCache plan_cache_;
-  uint64_t plan_generation_ = 0;
-  /// Thread-safe plan cache of the published read path, keyed by PUBLISHED
-  /// generation (frozen views — no revalidation); mutable because reads
-  /// are const and concurrent.
-  mutable SharedPlanCache read_plans_;
   /// In-flight published reads, against options_.max_read_threads.
   mutable std::atomic<int64_t> active_reads_{0};
 

@@ -18,6 +18,11 @@ namespace grepair {
 namespace serve {
 namespace {
 
+// Longest request line a connection may send. A client that streams more
+// bytes than this without a newline is answered `err bad_request` and
+// disconnected, so one connection's buffer never grows past it.
+constexpr size_t kMaxLineBytes = 1 << 20;
+
 double NowSec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -226,16 +231,23 @@ void Server::HandleConnection(int fd) {
   bool open = WriteLine(fd, greeting);
 
   std::string buf;
+  size_t scanned = 0;  // buf[0, scanned) holds no newline
   char chunk[4096];
   while (open) {
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;
     buf.append(chunk, static_cast<size_t>(n));
     size_t pos;
-    while (open && (pos = buf.find('\n')) != std::string::npos) {
+    while (open && (pos = buf.find('\n', scanned)) != std::string::npos) {
       std::string line = buf.substr(0, pos);
       buf.erase(0, pos + 1);
+      scanned = 0;
       open = ProcessLine(fd, &session, line);
+    }
+    scanned = buf.size();
+    if (open && buf.size() > kMaxLineBytes) {
+      WriteLine(fd, ErrResponse("bad_request", "line too long"));
+      break;
     }
   }
   ::close(fd);

@@ -17,9 +17,11 @@
 // ServeOptions::max_connections are answered `err busy max connections` and
 // closed; requests beyond the ServeOptions::max_requests_per_sec token
 // bucket are shed with `err busy rate limit exceeded` without touching the
-// service. Connection/admission instruments live in the service's metrics
-// registry, so the `metrics` verb exports them alongside the serving
-// counters.
+// service. A connection that sends more than 1 MiB without a newline is
+// answered `err bad_request line too long` and closed, so per-connection
+// buffering stays bounded. Connection/admission instruments live in the
+// service's metrics registry, so the `metrics` verb exports them alongside
+// the serving counters.
 #ifndef GREPAIR_SERVE_SERVER_H_
 #define GREPAIR_SERVE_SERVER_H_
 

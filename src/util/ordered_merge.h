@@ -1,9 +1,7 @@
-// The one k-way ordered-merge primitive behind every "disjoint ascending
-// partitions back into one global order" path: the sharded store's
-// candidate/enumeration merges (sharded_snapshot.cc) and the
-// storage-aligned detector merges (parallel_detector.cc,
-// delta_detector.cc) all reduce to it, so the min-pick invariant lives in
-// exactly one place.
+// The k-way ordered-merge primitive behind the sharded store's
+// "disjoint ascending partitions back into one global order" paths: its
+// candidate and enumeration merges (sharded_snapshot.cc) both reduce to
+// it, so the min-pick invariant lives in exactly one place.
 #ifndef GREPAIR_UTIL_ORDERED_MERGE_H_
 #define GREPAIR_UTIL_ORDERED_MERGE_H_
 

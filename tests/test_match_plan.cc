@@ -2,7 +2,7 @@
 // adversarial range shapes, the central bit-identical-stream guarantee
 // (planned == interpreted FindAll on generator graphs, anchored and NAC
 // patterns, and through both parallel detectors for every shard x thread
-// combination), and PlanCache hit/revalidate/recompile behavior.
+// combination).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -334,6 +334,49 @@ TEST_F(PlanFixtureTest, AttrJoinAndPredicatesAgree) {
   ExpectParity(p, MatchOptions{});
 }
 
+// An anchor whose join attribute is absent: no candidate can satisfy the
+// EQ join, so the planned search skips the label scan the interpreter
+// runs and rejects — same (empty) stream, same expansions, on the live
+// graph and on a snapshot alike.
+TEST_F(PlanFixtureTest, AttrJoinOnAbsentValueAgrees) {
+  SymbolId name = vocab_->Attr("name");
+  NodeId x = g_.AddNode(a_), y = g_.AddNode(a_);
+  NodeId nameless = g_.AddNode(a_);
+  g_.SetNodeAttr(x, name, vocab_->Value("n1"));
+  g_.SetNodeAttr(y, name, vocab_->Value("n1"));
+  Pattern p;
+  VarId u = p.AddNode(a_), v = p.AddNode(a_);
+  AttrPredicate pred;
+  pred.lhs = AttrOperand::VarAttr(u, name);
+  pred.op = CmpOp::kEq;
+  pred.rhs = AttrOperand::VarAttr(v, name);
+  p.AddPredicate(pred);
+  GraphSnapshot snap(g_);
+  for (const GraphView* view : {static_cast<const GraphView*>(&g_),
+                                static_cast<const GraphView*>(&snap)}) {
+    const MatchPlan plan = MatchPlan::Compile(p, *view);
+    for (NodeId anchor : {nameless, x}) {
+      MatchOptions planned;
+      planned.node_anchors.push_back({u, anchor});
+      MatchOptions interp = planned;
+      interp.use_plan = false;
+      std::vector<Match> want, got;
+      MatchStats ws = Matcher(*view, p).FindAll(interp, [&](const Match& m) {
+        want.push_back(m);
+        return true;
+      });
+      MatchStats gs =
+          Matcher(*view, p, &plan).FindAll(planned, [&](const Match& m) {
+            got.push_back(m);
+            return true;
+          });
+      EXPECT_EQ(want, got) << "anchor " << anchor;
+      EXPECT_EQ(ws.expansions, gs.expansions) << "anchor " << anchor;
+      EXPECT_EQ(want.empty(), anchor == nameless);
+    }
+  }
+}
+
 // ---------------------------------------------- parallel detectors + plans
 
 TEST(MatchPlanTest, ParallelDetectorWithPlansMatchesSequentialInterpreter) {
@@ -418,74 +461,6 @@ TEST(MatchPlanTest, DeltaDetectorWithPlansMatchesSequentialInterpreter) {
       }
     }
   }
-}
-
-// -------------------------------------------------------------- PlanCache
-
-TEST(PlanCacheTest, HitRevalidateRecompile) {
-  DatasetBundle bundle = SmallKg();
-  GraphSnapshot snap(bundle.graph);
-  const Pattern& p = bundle.rules[0].pattern();
-  PlanCache cache;
-  const MatchPlan* first = cache.Get(0, p, snap, /*generation=*/1);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(cache.cache_stats().recompiles, 1u);
-
-  // Same generation: pure hit, same object.
-  const MatchPlan* again = cache.Get(0, p, snap, 1);
-  EXPECT_EQ(again, first);
-  EXPECT_EQ(cache.cache_stats().hits, 1u);
-
-  // New generation, unchanged graph: cardinalities did not move, so the
-  // cached plan revalidates instead of recompiling.
-  const MatchPlan* reval = cache.Get(0, p, snap, 2);
-  EXPECT_EQ(reval, first);
-  EXPECT_EQ(cache.cache_stats().revalidations, 1u);
-  EXPECT_EQ(cache.cache_stats().recompiles, 1u);
-
-  // A drastically different snapshot (fresh tiny graph) shifts the label
-  // cardinalities past the threshold: recompile.
-  Graph tiny(bundle.graph.vocab());
-  tiny.AddNode(bundle.graph.vocab()->Label("Person"));
-  GraphSnapshot tiny_snap(tiny);
-  cache.Get(0, p, tiny_snap, 3);
-  EXPECT_EQ(cache.cache_stats().recompiles, 2u);
-
-  cache.Clear();
-  cache.Get(0, p, snap, 3);
-  EXPECT_EQ(cache.cache_stats().recompiles, 3u);
-}
-
-TEST(PlanCacheTest, PointersStableAcrossGrowth) {
-  DatasetBundle bundle = SmallKg();
-  GraphSnapshot snap(bundle.graph);
-  PlanCache cache;
-  std::vector<const MatchPlan*> ptrs;
-  for (RuleId r = 0; r < bundle.rules.size(); ++r)
-    ptrs.push_back(cache.Get(r, bundle.rules[r].pattern(), snap, 1));
-  // Growing the table for later rules must not have moved earlier plans.
-  for (RuleId r = 0; r < bundle.rules.size(); ++r) {
-    EXPECT_EQ(cache.Get(r, bundle.rules[r].pattern(), snap, 1), ptrs[r]);
-    EXPECT_EQ(ptrs[r]->pattern(), &bundle.rules[r].pattern());
-  }
-}
-
-TEST(PlanCacheTest, CachedPlanStreamsMatchFreshCompile) {
-  DatasetBundle bundle = SmallKg();
-  GraphSnapshot snap(bundle.graph);
-  PlanCache cache;
-  Stream fresh = PlannedStream(snap, bundle.rules);
-  Stream cached;
-  for (RuleId r = 0; r < bundle.rules.size(); ++r) {
-    const MatchPlan* plan =
-        cache.Get(r, bundle.rules[r].pattern(), snap, /*generation=*/5);
-    Matcher m(snap, bundle.rules[r].pattern(), plan);
-    m.FindAll(MatchOptions{}, [&](const Match& match) {
-      cached.emplace_back(r, match);
-      return true;
-    });
-  }
-  ExpectSameStream(fresh, cached);
 }
 
 // ---------------------------------------------------------------- Explain

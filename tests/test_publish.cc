@@ -433,6 +433,31 @@ TEST(PublishIsolationTest, RestoreRepublishesAtomically) {
 
 // --------------------------------------------------- options and protocol
 
+// Every publication advances one snapshot slot, and the snapshot and shard
+// ledgers record it — on a sequential service too, whose commits never fan
+// out: acquisitions (patches + rebuilds) equal publications.
+TEST(PublishLedgerTest, SequentialServiceCountsEveryPublicationAdvance) {
+  DatasetBundle bundle = KgBundle(/*repaired=*/true);
+  ServeOptions sopt;
+  sopt.num_threads = 1;
+  RepairService service(bundle.graph.Clone(), bundle.rules, sopt);
+  Graph scratch = bundle.graph.Clone();
+  Rng rng(23);
+  constexpr size_t kBatches = 6;
+  for (size_t b = 0; b < kBatches; ++b) {
+    auto r = service.ApplyBatch(MutateRandom(&scratch, &rng, 6));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r.value().fanned_out);
+    scratch = service.graph().Clone();
+  }
+  const ServiceStats& s = service.stats();
+  EXPECT_EQ(s.snapshot_batches, 0u);
+  EXPECT_EQ(s.publishes, kBatches + 1);  // construction + every commit
+  EXPECT_EQ(s.snapshot_patches + s.snapshot_rebuilds, s.publishes);
+  EXPECT_GE(s.shard_rebuilds, 2u);  // each slot's first advance builds
+  EXPECT_GT(s.shard_patches, 0u);
+}
+
 TEST(PublishOptionsTest, ValidateBoundsMaxReadThreads) {
   ServeOptions sopt;
   sopt.max_read_threads = 4096;

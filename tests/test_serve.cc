@@ -13,6 +13,7 @@
 
 #include "cli/cli.h"
 #include "eval/experiment.h"
+#include "obs/trace.h"
 #include "parallel/delta_detector.h"
 #include "serve/repair_service.h"
 #include "util/rng.h"
@@ -153,6 +154,97 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param)) + "_t" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ------------------------------------------------- live-graph seed pass
+
+// One traced span of a Chrome trace-event dump (obs::ChromeTraceJson).
+struct TracedSpan {
+  std::string name;
+  unsigned long long ts = 0;
+  unsigned long long dur = 0;
+};
+
+std::vector<TracedSpan> ParseSpans(const std::string& trace) {
+  std::vector<TracedSpan> spans;
+  std::istringstream in(trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    char name[64];
+    unsigned tid = 0;
+    TracedSpan span;
+    if (std::sscanf(line.c_str(),
+                    "{\"name\":\"%63[^\"]\",\"cat\":\"grepair\",\"ph\":\"X\","
+                    "\"pid\":1,\"tid\":%u,\"ts\":%llu,\"dur\":%llu",
+                    name, &tid, &span.ts, &span.dur) != 4)
+      continue;
+    span.name = name;
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+// Every seed pass reads the live graph, at any thread count: a fanning-out
+// commit builds, patches or compacts no snapshot inside commit.detect
+// (publication is the only step that touches the store), and its results
+// are bit-identical to a sequential service's.
+TEST(LiveGraphSeedTest, FanOutCommitsTouchNoSnapshotAndMatchSequential) {
+  DatasetBundle bundle = CleanBundle("kg");
+  RepairService seq(bundle.graph.Clone(), bundle.rules, ServeOptions{});
+
+  obs::ClearTrace();
+  obs::SetTracingEnabled(true);
+  ServeOptions popt;
+  popt.num_threads = 4;
+  popt.shard_min_anchors = 1;  // every non-empty batch fans out
+  RepairService par(bundle.graph.Clone(), bundle.rules, popt);
+  Graph scratch = bundle.graph.Clone();
+  Rng rng(77);
+  size_t fanned = 0;
+  for (size_t batch = 0; batch < 5; ++batch) {
+    std::vector<EditEntry> ops = MutateRandom(&scratch, &rng, 8);
+    auto a = seq.ApplyBatch(ops);
+    auto b = par.ApplyBatch(ops);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_FALSE(a.value().fanned_out);
+    if (b.value().fanned_out) ++fanned;
+    EXPECT_EQ(a.value().violations, b.value().violations) << batch;
+    EXPECT_EQ(a.value().fixes, b.value().fixes) << batch;
+    EXPECT_EQ(a.value().expansions, b.value().expansions) << batch;
+    EXPECT_TRUE(seq.graph().ContentEquals(par.graph())) << batch;
+    EXPECT_EQ(seq.ViolationBacklog(), par.ViolationBacklog()) << batch;
+    scratch = seq.graph().Clone();
+  }
+  obs::SetTracingEnabled(false);
+  const std::string trace = obs::ChromeTraceJson();
+  obs::ClearTrace();
+  EXPECT_GT(fanned, 0u);
+  EXPECT_EQ(par.stats().snapshot_batches, fanned);
+
+#ifndef GREPAIR_OBS_DISABLED
+  const std::vector<TracedSpan> spans = ParseSpans(trace);
+  // Store work: snapshot.{build,patch,compact} and shard.advance.*.
+  std::vector<const TracedSpan*> detects, store_work;
+  size_t builds = 0;
+  for (const TracedSpan& span : spans) {
+    EXPECT_NE(span.name, "commit.snapshot");
+    if (span.name == "commit.detect") detects.push_back(&span);
+    if (span.name.rfind("snapshot.", 0) == 0 ||
+        span.name.rfind("shard.", 0) == 0)
+      store_work.push_back(&span);
+    if (span.name == "snapshot.build") ++builds;
+  }
+  // Publication still builds each slot's first store, so the probe below
+  // has spans to see.
+  ASSERT_FALSE(detects.empty());
+  ASSERT_GT(builds, 0u);
+  for (const TracedSpan* work : store_work)
+    for (const TracedSpan* detect : detects)
+      EXPECT_FALSE(work->ts >= detect->ts &&
+                   work->ts < detect->ts + detect->dur)
+          << work->name << " at " << work->ts << " inside commit.detect ["
+          << detect->ts << ", +" << detect->dur << ")";
+#endif
+}
 
 // ------------------------------------------------- ParallelDeltaDetector
 

@@ -287,6 +287,42 @@ TEST(ServerTest, OverRateRequestsAreShedWithBusy) {
   EXPECT_NE(text.find("bye "), std::string::npos);
 }
 
+// A client that streams past the 1 MiB line cap without a newline is
+// answered `err bad_request line too long` and disconnected; the server
+// keeps serving everyone else.
+TEST(ServerTest, OverlongLineIsRejectedAndClosed) {
+  DatasetBundle bundle = MakeBundle();
+  ServeOptions sopt;
+  sopt.listen_port = 0;
+  RepairService service(std::move(bundle.graph), std::move(bundle.rules),
+                        sopt);
+  Server server(&service);
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = Connect(server.port());
+  LineReader r{fd, {}};
+  r.ReadLine();
+  r.ReadLine();
+  // Exactly one byte past the cap: the server has read every byte by the
+  // time it answers, so its close carries no unread data (which would
+  // reset the connection before the error line arrives).
+  SendStr(fd, std::string((size_t{1} << 20) + 1, 'x'));
+  EXPECT_EQ(r.ReadLine(), "err bad_request line too long");
+  EXPECT_EQ(r.ReadLine(), "");  // EOF
+  ::close(fd);
+
+  int fresh = Connect(server.port());
+  LineReader r2{fresh, {}};
+  r2.ReadLine();
+  EXPECT_EQ(r2.ReadLine().rfind("serving ", 0), 0u);
+  SendStr(fresh, "add_node Org\ncommit\nquit\n");
+  EXPECT_EQ(r2.ReadLine(), "staged 1");
+  EXPECT_EQ(r2.ReadLine().rfind("batch 1 ", 0), 0u);
+  EXPECT_EQ(r2.ReadLine().rfind("bye ", 0), 0u);
+  ::close(fresh);
+  server.Stop();
+}
+
 // -------------------------------------------------------------- lifecycle
 
 TEST(ServerTest, ShutdownVerbStopsTheListener) {

@@ -67,7 +67,6 @@ TEST(ShardedSnapshotTest, ShardsPartitionTheStore) {
 
   ShardedSnapshot ss(g, 5);
   EXPECT_EQ(ss.NumShards(), 5u);
-  EXPECT_EQ(ss.NumStorageShards(), 5u);
   EXPECT_EQ(ss.AsSnapshot(), nullptr);  // not a monolithic GraphSnapshot
 
   // Every shard owns exactly the ids the partition function assigns it,
@@ -418,7 +417,7 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(ra.value().fixes, rc.value().fixes) << "batch " << batch;
     EXPECT_EQ(ra.value().violations, rc.value().violations);
     EXPECT_EQ(ra.value().expansions, rc.value().expansions);
-    EXPECT_EQ(ra.value().snapshot_reads, rc.value().snapshot_reads);
+    EXPECT_EQ(ra.value().fanned_out, rc.value().fanned_out);
     EXPECT_TRUE(a.graph().ContentEquals(c.graph())) << "batch " << batch;
     scratch = a.graph().Clone();
   }
@@ -426,19 +425,19 @@ TEST(ShardedSnapshotTest, ServiceCommitsBitIdenticalAcrossShardCounts) {
   const ServiceStats& sa = a.stats();
   const ServiceStats& sc = c.stats();
   EXPECT_EQ(sa.snapshot_batches, sc.snapshot_batches);
-  EXPECT_EQ(sc.snapshot_patches + sc.snapshot_rebuilds, sc.snapshot_batches);
+  EXPECT_EQ(sc.snapshot_patches + sc.snapshot_rebuilds, sc.publishes);
   ASSERT_GT(sc.snapshot_batches, 1u);
-  // Both services keep a per-shard ledger; the first acquisition built
-  // the single shard / all four shards.
-  EXPECT_GE(sa.shard_rebuilds, 1u);
-  EXPECT_GE(sc.shard_rebuilds, 4u);
-  EXPECT_GT(sc.shard_patches + sc.shard_rebuilds, 4u);
+  // Both services keep a per-shard ledger; each publisher slot's first
+  // advance built the single shard / all four shards.
+  EXPECT_GE(sa.shard_rebuilds, 2u);
+  EXPECT_GE(sc.shard_rebuilds, 8u);
+  EXPECT_GT(sc.shard_patches + sc.shard_rebuilds, 8u);
   EXPECT_GT(sc.snapshot_memory_bytes, 0u);
 }
 
 // A hot shard (all edits within one shard's nodes) with a tiny rebuild
-// fraction: steady-state commits rebuild ONE shard per acquisition, never
-// the whole store.
+// fraction: steady-state publications rebuild ONE shard per slot advance,
+// never the whole store.
 TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
   // A rule that can never match: anchors still fan the commit out, but no
   // repair cascade can leak edits into other shards.
@@ -485,15 +484,17 @@ TEST(ShardedSnapshotTest, ServiceRebuildsOnlyTheHotShard) {
     auto r = service.ApplyBatch(ops);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value().fixes, 0u);
-    if (r.value().snapshot_reads) ++batches;
+    if (r.value().fanned_out) ++batches;
   }
   ASSERT_GT(batches, 1u);
   const ServiceStats& s = service.stats();
-  // First acquisition: full 4-shard build. Every later one: the hot shard
+  // The first advance of each publisher slot (construction, then the
+  // first commit): a full 4-shard build. Every later one: the hot shard
   // alone.
-  EXPECT_EQ(s.shard_rebuilds, 4 + (batches - 1));
+  ASSERT_EQ(s.publishes, 4u);  // construction + 3 commits
+  EXPECT_EQ(s.shard_rebuilds, 2 * 4 + (s.publishes - 2));
   EXPECT_EQ(s.shard_patches, 0u);
-  EXPECT_EQ(s.snapshot_rebuilds, batches);
+  EXPECT_EQ(s.snapshot_rebuilds, s.publishes);
 }
 
 // -------------------------------------------------------------- validation

@@ -400,8 +400,9 @@ TEST(SnapshotPatchTest, CitationDetectEquivalenceAcrossThreads) {
 
 // The same edit stream committed through an incremental-snapshot service
 // and a rebuild-every-batch service produces identical graphs, fixes and
-// backlogs — and the incremental service's stats show patches carrying the
-// steady state (one initial rebuild, patches after).
+// backlogs — and the incremental service's publication ledger shows patches
+// carrying the steady state (each slot's first advance builds, patches
+// after).
 TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
   KgOptions gopt;
   gopt.num_persons = 200;
@@ -445,7 +446,7 @@ TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
     ASSERT_TRUE(ra.ok() && rc.ok());
     EXPECT_EQ(ra.value().fixes, rc.value().fixes) << "batch " << batch;
     EXPECT_EQ(ra.value().violations, rc.value().violations);
-    EXPECT_EQ(ra.value().snapshot_reads, rc.value().snapshot_reads);
+    EXPECT_EQ(ra.value().fanned_out, rc.value().fanned_out);
     EXPECT_TRUE(a.graph().ContentEquals(c.graph())) << "batch " << batch;
     scratch = a.graph().Clone();
   }
@@ -453,17 +454,18 @@ TEST(SnapshotPatchTest, ServiceCommitsBitIdenticalAndCountsPaths) {
   const ServiceStats& sa = a.stats();
   const ServiceStats& sc = c.stats();
   EXPECT_EQ(sa.snapshot_batches, sc.snapshot_batches);
-  EXPECT_EQ(sa.snapshot_patches + sa.snapshot_rebuilds, sa.snapshot_batches);
+  EXPECT_EQ(sa.snapshot_patches + sa.snapshot_rebuilds, sa.publishes);
   EXPECT_EQ(sc.snapshot_patches, 0u);  // fraction 0 → rebuild every time
-  EXPECT_EQ(sc.snapshot_rebuilds, sc.snapshot_batches);
+  EXPECT_EQ(sc.snapshot_rebuilds, sc.publishes);
   ASSERT_GT(sa.snapshot_batches, 1u);
   EXPECT_GE(sa.snapshot_patches, 1u);  // steady state patches
-  EXPECT_GE(sa.snapshot_rebuilds, 1u);  // the first acquisition builds
+  EXPECT_GE(sa.snapshot_rebuilds, 2u);  // each slot's first advance builds
   EXPECT_GT(sa.snapshot_memory_bytes, 0u);
 }
 
-// A tiny rebuild threshold forces the fraction gate: every acquisition
-// rebuilds, so the patch counter stays at zero but results are unchanged.
+// A tiny rebuild threshold forces the fraction gate: every publication
+// advance rebuilds, so the patch counter stays at zero but results are
+// unchanged.
 TEST(SnapshotPatchTest, RebuildThresholdForcesRebuilds) {
   KgOptions gopt;
   gopt.num_persons = 120;
@@ -496,8 +498,7 @@ TEST(SnapshotPatchTest, RebuildThresholdForcesRebuilds) {
     ASSERT_TRUE(service.ApplyBatch(ops).ok());
   }
   EXPECT_EQ(service.stats().snapshot_patches, 0u);
-  EXPECT_EQ(service.stats().snapshot_rebuilds,
-            service.stats().snapshot_batches);
+  EXPECT_EQ(service.stats().snapshot_rebuilds, service.stats().publishes);
 }
 
 }  // namespace
